@@ -366,24 +366,23 @@ let run_perf () =
 
 (* --- pool telemetry measurement --------------------------------------------
 
-   One sampled jobs=4 ppsfp run through the persistent pool, with the
+   One recorded jobs=4 ppsfp run through the persistent pool, with the
    hardware clamp lifted so the measurement exercises real worker domains
-   even on a single-core host.  Records per-lane scheduler counters and
-   the utilization profile the timeline sampler saw — the jobs axis of
-   the JSON is ready for multi-core hosts where the clamp never binds. *)
+   even on a single-core host.  Read after the run: the per-lane scheduler
+   counters, and the mean utilization — busy time (the pool's slice spans,
+   summed over every lane) over lanes x wall time of the run.  The jobs
+   axis of the JSON is ready for multi-core hosts where the clamp never
+   binds. *)
 
 type pool_measurement = {
   pm_jobs : int;
-  pm_period_ms : int;
-  pm_samples : int;
-  pm_util_peak : float;
   pm_util_mean : float;
   pm_lanes : (int * int * int * int * int) list;
       (* lane, tasks, steals, stolen_from, parked_us *)
 }
 
 let measure_pool () =
-  let jobs = 4 and period_ms = 5 in
+  let jobs = 4 in
   let saved = Sys.getenv_opt "OPTPROB_JOBS_OVERCOMMIT" in
   Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" "1";
   Fun.protect ~finally:(fun () ->
@@ -398,14 +397,14 @@ let measure_pool () =
   let mult = Rt_pipeline.circuit ctx in
   let mfaults = Rt_pipeline.fault_list ctx in
   let n_inputs = Array.length (Rt_circuit.Netlist.inputs mult) in
-  let sampler = Rt_obs.Timeline.start ~period_ms () in
+  let t0 = Rt_obs.now_us () in
   for seed = 1 to 3 do
     let rng = Rt_util.Rng.create seed in
     let source = Rt_sim.Pattern.equiprobable rng ~n_inputs in
     ignore
       (Rt_sim.Fault_sim.simulate ~jobs ~drop:false mult mfaults ~source ~n_patterns:1024)
   done;
-  let samples, _dropped = Rt_obs.Timeline.stop sampler in
+  let wall_us = Rt_obs.now_us () -. t0 in
   let snap = Rt_obs.counters_snapshot () in
   let v name = Option.value ~default:0 (List.assoc_opt name snap) in
   let lanes =
@@ -413,24 +412,18 @@ let measure_pool () =
         let f field = v (Printf.sprintf "pool.d%d.%s" k field) in
         (k, f "tasks", f "steals", f "stolen_from", f "parked_us"))
   in
-  let utils =
-    List.filter_map
-      (fun s -> List.assoc_opt "pool.utilization" s.Rt_obs.Timeline.s_gauges)
-      samples
-  in
-  let peak = List.fold_left Float.max 0.0 utils in
-  let mean =
-    match utils with
-    | [] -> 0.0
-    | _ -> List.fold_left ( +. ) 0.0 utils /. Float.of_int (List.length utils)
+  let busy_us =
+    List.fold_left
+      (fun acc e ->
+        if e.Rt_obs.cat = "pool" && Filename.check_suffix e.Rt_obs.name ".slice" then
+          acc +. e.Rt_obs.dur_us
+        else acc)
+      0.0 (Rt_obs.events ())
   in
   Rt_obs.set_enabled false;
   Rt_obs.clear ();
   { pm_jobs = jobs;
-    pm_period_ms = period_ms;
-    pm_samples = List.length samples;
-    pm_util_peak = peak;
-    pm_util_mean = mean;
+    pm_util_mean = busy_us /. (Float.of_int jobs *. Float.max 1.0 wall_us);
     pm_lanes = lanes }
 
 (* --- JSON output ----------------------------------------------------------- *)
@@ -453,7 +446,7 @@ let write_json ~path ~mode ~experiments ~kernels ~pool ~opt ~total_seconds =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"optprob-bench/3\",\n";
+  p "  \"schema\": \"optprob-bench/4\",\n";
   p "  \"mode\": \"%s\",\n" (json_escape mode);
   p "  \"jobs_env\": %d,\n" (Rt_util.Parallel.default_jobs ());
   p "  \"block_words_env\": %d,\n" (Rt_sim.Pattern.default_block_words ());
@@ -461,10 +454,7 @@ let write_json ~path ~mode ~experiments ~kernels ~pool ~opt ~total_seconds =
   p "  \"total_seconds\": %.3f,\n" total_seconds;
   p "  \"pool\": {\n";
   p "    \"jobs\": %d,\n" pool.pm_jobs;
-  p "    \"sample_period_ms\": %d,\n" pool.pm_period_ms;
-  p "    \"timeline_samples\": %d,\n" pool.pm_samples;
-  p "    \"utilization\": {\"peak\": %.4f, \"mean\": %.4f},\n" pool.pm_util_peak
-    pool.pm_util_mean;
+  p "    \"utilization\": {\"mean\": %.4f},\n" pool.pm_util_mean;
   p "    \"domains\": [\n";
   List.iteri
     (fun i (lane, tasks, steals, stolen_from, parked_us) ->
@@ -506,7 +496,7 @@ let write_json ~path ~mode ~experiments ~kernels ~pool ~opt ~total_seconds =
 
 (* Record the finished bench run — per-experiment wall-clock as a latency
    histogram, the work counters each experiment burned, kernel ns/run as
-   gauges — as a transient artifact and ingest it into the run registry,
+   gauges — as a captured run and ingest it into the run registry,
    so `optprob obs trend bench.experiment_us.p50` works across bench
    invocations without any separate tooling. *)
 let ingest_run ~registry ~experiments ~kernels ~total_seconds =
@@ -528,20 +518,14 @@ let ingest_run ~registry ~experiments ~kernels ~total_seconds =
     (fun (name, ns) ->
       Rt_obs.gauge_set (Rt_obs.gauge ("bench.kernel." ^ sanitize name ^ ".ns")) ns)
     kernels;
-  let dir = Filename.concat registry (Printf.sprintf "tmp-bench.%d" (Unix.getpid ())) in
-  Rt_obs.Artifact.write ~dir
-    ~manifest:(Rt_obs.Artifact.make_manifest ~argv:Sys.argv ~wall_s:total_seconds ())
-    ();
+  let art =
+    Rt_obs.Artifact.capture
+      ~manifest:(Rt_obs.Artifact.make_manifest ~argv:Sys.argv ~wall_s:total_seconds ())
+      ()
+  in
   Rt_obs.clear ();
   Rt_obs.set_enabled false;
-  let r = Rt_obs_registry.ingest ~registry ~obs_dir:dir () in
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir)
-   with Sys_error _ -> ());
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  match r with
+  match Rt_obs_registry.ingest ~registry ~source:"bench" art with
   | Ok id -> Format.printf "@.registry: ingested %s into %s@." id registry
   | Error e -> Format.eprintf "@.registry: ingest failed: %s@." e
 
@@ -557,8 +541,8 @@ let () =
     let path = "BENCH_optprob.json" in
     let pool = measure_pool () in
     let opt = measure_opt () in
-    Format.printf "@.pool (sampled jobs=%d ppsfp): utilization peak %.2f mean %.2f over %d samples@."
-      pool.pm_jobs pool.pm_util_peak pool.pm_util_mean pool.pm_samples;
+    Format.printf "@.pool (jobs=%d ppsfp): mean utilization %.2f@." pool.pm_jobs
+      pool.pm_util_mean;
     Format.printf "opt (s1-redundant): %d -> %d nodes (%d removed)@."
       opt.om_raw_nodes opt.om_opt_nodes (opt.om_raw_nodes - opt.om_opt_nodes);
     write_json ~path

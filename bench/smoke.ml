@@ -5,7 +5,7 @@
    1. [Oracle.cofactor_pair] is bit-identical to the two independent
       subset queries it replaces;
    2. the fused (incremental damage-cone) path is not slower than 1.5x
-      the two-query baseline.  The gate is the [obs-diff] engine itself:
+      the two-query baseline.  The gate is the [obs diff] engine itself:
       both sides' per-sweep latencies are written as --obs-dir style run
       artifacts and diffed with the default 1.5x quantile threshold, so
       the bench exercises the same regression analyzer CI relies on;
@@ -17,26 +17,21 @@
       (jobs, block-words) combinations, including the defaults;
    5. on the no-drop workload (every fault stays live, the hard-fault
       regime the paper's optimization targets) the wide datapath (W=8)
-      beats the narrow one (W=1) by enough that obs-diff, run with the
+      beats the narrow one (W=1) by enough that obs diff, run with the
       narrow side as candidate against the wide baseline, flags the
       narrow path as a regression.  Inverting the roles turns the
       analyzer into a speedup lock: losing the width win makes the gate
       fail.  The width axis is chosen because it does not depend on host
       core count, unlike the jobs axis;
    6. a second jobs=4 run spawns no additional domains
-      ([parallel.spawns] flat), i.e. the domain pool persists;
-   7. the background timeline sampler is free at the workload level: the
-      fused sweep's raw-sample p50 with telemetry+sampler(25 ms) stays
-      within 1.25x of telemetry-only, the p50s read back from the two run
-      artifacts' metrics.json land within one log bucket of each other —
-      and the sampler side's timeline.json self-diffs clean through
-      obs-diff.
+      ([parallel.spawns] flat), i.e. the domain pool persists.
 
    Finally the whole smoke run is ingested into the persistent run
    registry (argv.(2), default the OPTPROB_OBS_REGISTRY/_obs/registry
    convention; pass "-" to skip):
-   8. the first ever run bootstrap-promotes itself as the baseline;
-      every later run is diffed against the promoted baseline record and
+   7. the first ever run bootstrap-promotes itself as the baseline;
+      every later run is diffed directly against the promoted baseline
+      record and
       fails on histogram (3x, cross-runner noise allowance) or counter
       (1.5x, counters are deterministic) regressions, and the
       smoke.sweep_us.p50 trend over the registry history is printed with
@@ -46,7 +41,7 @@
    oracle/simulator, not the telemetry.  Artifacts land under an optional
    argv root (default _obs/smoke) as <root>/{baseline,fused},
    <root>/{ppsfp-wide,ppsfp-narrow} and <root>/run (the ingested one),
-   ready for CI upload or a manual `optprob obs-diff`.
+   ready for CI upload or a manual `optprob obs diff`.
 
    Exits nonzero on any violation.  Run with: make bench-smoke *)
 
@@ -135,7 +130,7 @@ let () =
   let t_fused_obs, _ = time_collect (sweep fused) in
   Rt_obs.clear ();
   let obs_ratio = t_fused_obs /. t_fused in
-  (* Write both sides as run artifacts and let obs-diff judge the perf
+  (* Write both sides as run artifacts and let obs diff judge the perf
      gate: baseline dir = 2x subset queries, candidate dir = fused. *)
   let manifest side =
     Rt_obs.Artifact.make_manifest ~engine:"cop"
@@ -165,7 +160,7 @@ let () =
   Printf.printf "  artifacts:                  %s {baseline,fused}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter diff;
   if regressions <> [] then begin
-    Printf.eprintf "bench-smoke FAIL: obs-diff flags the fused path as a regression\n";
+    Printf.eprintf "bench-smoke FAIL: obs diff flags the fused path as a regression\n";
     exit 1
   end;
   if obs_ratio > 1.5 then begin
@@ -217,7 +212,7 @@ let () =
   in
   (* One extra (untimed) recorded run per side puts the kernel counters —
      ppsfp.batches, parallel.* — next to the latency histogram in each
-     artifact, so obs-diff also sees the 8x good-machine-pass blowup of
+     artifact, so obs diff also sees the 8x good-machine-pass blowup of
      the narrow side. *)
   let write_ppsfp side samples ~block_words =
     let h = Rt_obs.histogram "smoke.ppsfp_us" in
@@ -234,7 +229,7 @@ let () =
   let dir_narrow = write_ppsfp "ppsfp-narrow" s_narrow ~block_words:1 in
   Rt_obs.set_enabled false;
   (* Roles inverted on purpose: wide is the baseline, narrow the
-     candidate, and the gate requires obs-diff to FLAG a latency
+     candidate, and the gate requires obs diff to FLAG a latency
      regression — i.e. W=1 must be at least [quantile_ratio] slower than
      W=8.  If a change erodes the width win below that bar, no histogram
      finding is emitted and the gate fails. *)
@@ -266,7 +261,7 @@ let () =
   Rt_obs.Diff.pp_report Format.std_formatter ppsfp_diff;
   if ppsfp_regressions = [] then begin
     Printf.eprintf
-      "bench-smoke FAIL: obs-diff does not flag W=1 as a regression vs W=8 \
+      "bench-smoke FAIL: obs diff does not flag W=1 as a regression vs W=8 \
        (width speedup %.3fx below the 1.25x gate)\n"
       width_ratio;
     exit 1
@@ -274,81 +269,6 @@ let () =
   if spawns_after > spawns_warm then begin
     Printf.eprintf "bench-smoke FAIL: second jobs=4 run spawned %d extra domains\n"
       (spawns_after - spawns_warm);
-    exit 1
-  end;
-  (* --- sampler overhead ------------------------------------------------------
-     Telemetry-only vs telemetry + 25 ms timeline sampler, same fused
-     sweep.  Both runs are recorded; the gate compares the p50 each
-     artifact's metrics.json reports, so it measures exactly what a
-     sampled production run would. *)
-  Rt_obs.set_enabled true;
-  Rt_obs.clear ();
-  let _, s_tel_only = time_collect (sweep fused) in
-  let dir_tel = write "sampler-off" s_tel_only in
-  let sampler = Rt_obs.Timeline.start ~period_ms:25 () in
-  let _, s_sampled = time_collect (sweep fused) in
-  let tl_samples, tl_dropped = Rt_obs.Timeline.stop sampler in
-  let dir_samp = write "sampler-on" s_sampled in
-  Rt_obs.Timeline.write
-    (Filename.concat dir_samp "timeline.json")
-    ~period_ms:25 ~dropped:tl_dropped tl_samples;
-  Rt_obs.set_enabled false;
-  let p50_of dir =
-    let path = Filename.concat dir "metrics.json" in
-    let ic = open_in_bin path in
-    let doc = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let j = Rt_obs.Json.parse doc in
-    match
-      Option.bind (Rt_obs.Json.member "histograms" j) (fun h ->
-          Option.bind (Rt_obs.Json.member "smoke.sweep_us" h) (fun s ->
-              Option.bind (Rt_obs.Json.member "p50" s) Rt_obs.Json.to_float))
-    with
-    | Some v -> v
-    | None -> Printf.eprintf "bench-smoke FAIL: no smoke.sweep_us p50 in %s\n" path; exit 1
-  in
-  let p50_tel = p50_of dir_tel and p50_samp = p50_of dir_samp in
-  (* The artifact p50s are quantized by the histogram's log buckets
-     (adjacent boundaries ~1.78x apart), so a tight band on them flips a
-     coin whenever the sweep straddles a bucket edge.  The numeric gate
-     therefore runs on the exact medians of the raw per-call samples
-     (1.25x, room for scheduler noise at the ~1 ms scale); the artifact
-     read-back keeps its own guard — the two p50s must land within one
-     bucket of each other — so the recorded story cannot drift from the
-     measured one. *)
-  let raw_median a =
-    let s = Array.copy a in
-    Array.sort Float.compare s;
-    s.(Array.length s / 2)
-  in
-  let sampler_ratio = raw_median s_sampled /. raw_median s_tel_only in
-  let artifact_ratio = p50_samp /. p50_tel in
-  let sampler_thresholds = { Rt_obs.Diff.default with quantile_ratio = 1.8 } in
-  let sampler_diff =
-    Rt_obs.Diff.compare_dirs ~thresholds:sampler_thresholds dir_tel dir_samp
-  in
-  let tl_self = Rt_obs.Diff.regressions (Rt_obs.Diff.compare_dirs dir_samp dir_samp) in
-  Printf.printf "sampler overhead (fused sweep, 25 ms period):\n";
-  Printf.printf "  telemetry-only p50:         %8.3f us (artifact %8.3f)\n"
-    (raw_median s_tel_only) p50_tel;
-  Printf.printf "  telemetry+sampler p50:      %8.3f us (artifact %8.3f)\n"
-    (raw_median s_sampled) p50_samp;
-  Printf.printf "  ratio (sampled / plain):    %8.3f (artifact %8.3f)\n"
-    sampler_ratio artifact_ratio;
-  Printf.printf "  timeline samples/dropped:   %d / %d\n" (List.length tl_samples) tl_dropped;
-  Printf.printf "  artifacts:                  %s {sampler-off,sampler-on}\n" out_root;
-  Rt_obs.Diff.pp_report Format.std_formatter sampler_diff;
-  if sampler_ratio > 1.25 then begin
-    Printf.eprintf "bench-smoke FAIL: sampler overhead %.3fx > 1.25x on raw p50\n" sampler_ratio;
-    exit 1
-  end;
-  if artifact_ratio > 1.8 then begin
-    Printf.eprintf
-      "bench-smoke FAIL: artifact p50s more than one bucket apart (%.3fx)\n" artifact_ratio;
-    exit 1
-  end;
-  if tl_self <> [] then begin
-    Printf.eprintf "bench-smoke FAIL: sampler-side timeline does not self-diff clean\n";
     exit 1
   end;
   (* --- run registry ----------------------------------------------------------
@@ -382,12 +302,17 @@ let () =
       ();
     Rt_obs.clear ();
     Rt_obs.set_enabled false;
-    let id =
-      match Reg.ingest ~registry ~obs_dir:dir_run () with
-      | Ok id -> id
+    let run_art, id =
+      match Rt_obs.Artifact.read dir_run with
       | Error e ->
-        Printf.eprintf "bench-smoke FAIL: registry ingest: %s\n" e;
+        Printf.eprintf "bench-smoke FAIL: run artifact: %s\n" e;
         exit 1
+      | Ok art -> (
+        match Reg.ingest ~registry ~source:dir_run art with
+        | Ok id -> (art, id)
+        | Error e ->
+          Printf.eprintf "bench-smoke FAIL: registry ingest: %s\n" e;
+          exit 1)
     in
     Printf.printf "registry (%s):\n" registry;
     Printf.printf "  ingested:                   %s\n" id;
@@ -400,24 +325,15 @@ let () =
          exit 1)
      | Some base when base = id -> ()
      | Some base ->
-       let tmp = Filename.concat registry (Printf.sprintf "tmp-smoke.%d" (Unix.getpid ())) in
-       let cleanup () =
-         (try
-            Array.iter
-              (fun f -> try Sys.remove (Filename.concat tmp f) with Sys_error _ -> ())
-              (Sys.readdir tmp)
-          with Sys_error _ -> ());
-         try Unix.rmdir tmp with Unix.Unix_error _ -> ()
+       let base_art =
+         match Reg.load ~registry base with
+         | Ok r -> Reg.artifact r
+         | Error e ->
+           Printf.eprintf "bench-smoke FAIL: baseline record: %s\n" e;
+           exit 1
        in
-       (match Reg.materialize ~registry ~dir:tmp base with
-        | Ok () -> ()
-        | Error e ->
-          cleanup ();
-          Printf.eprintf "bench-smoke FAIL: baseline materialize: %s\n" e;
-          exit 1);
        let thresholds = { Rt_obs.Diff.default with quantile_ratio = 3.0; span_ratio = 3.0 } in
-       let base_diff = Rt_obs.Diff.compare_dirs ~thresholds tmp dir_run in
-       cleanup ();
+       let base_diff = Rt_obs.Diff.compare ~thresholds base_art run_art in
        Printf.printf "  baseline:                   %s\n" base;
        Rt_obs.Diff.pp_report Format.std_formatter base_diff;
        (* Gate on what is stable across runners: work counters (exact for a

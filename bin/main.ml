@@ -1,8 +1,9 @@
 (* optprob — command-line front end.
 
    Subcommands: list, generate, simplify, analyze, optimize, simulate,
-   run, atpg, selftest, tables, obs-diff, and the `obs` family
-   (list/show/ingest/trend/baseline/diff/gc) over the persistent run
+   run, atpg, selftest, tables, and the `obs` family
+   (list/show/ingest/trend/baseline/diff/gc): `obs diff` compares two runs,
+   each an --obs-dir artifact directory or a record of the persistent run
    registry.  Every compute subcommand is a thin layer
    over the Rt_pipeline stage graph: it builds one validated
    Rt_pipeline.Config via the shared Cli terms, creates a pipeline
@@ -17,66 +18,30 @@ module Cli = Rt_pipeline.Cli
 module Registry = Rt_obs_registry
 
 (* --- observability flags ---------------------------------------------------
-   Shared by the compute-heavy subcommands.  The unified form is
-   --obs-dir DIR: one self-describing artifact directory per run
-   (manifest.json, events.jsonl, metrics.json, metrics.prom, trace.json
-   and, for optimize/run, convergence.json), diffable with `optprob
-   obs-diff`.  The legacy --trace/--metrics (and optimize's --convergence)
-   flags keep working as standalone aliases for the corresponding
-   artifact.  Any of them enables Rt_obs recording; the disabled default
-   costs one branch per probe.  While an --obs-dir run is in flight,
-   SIGUSR1 dumps a live metrics snapshot into the directory. *)
+   Shared by the compute-heavy subcommands.  --obs-dir DIR is the one way a
+   run writes telemetry: a self-describing artifact directory
+   (manifest.json, metrics.json, trace.json and, for optimize/run,
+   convergence.json), comparable with `optprob obs diff`.  --obs-registry
+   also stores the run in the persistent registry.  Any of them (or -v)
+   enables Rt_obs recording; the disabled default costs one branch per
+   probe. *)
 
 type obs = {
   obs_dir : string option;
-  trace : string option;
-  metrics : string option;
   verbose : bool;
-  sample_ms : int option;
-  listen : int option;
   registry : string option;  (* "" = the default registry directory *)
   mutable t_start : float;
-  mutable sampler : Rt_obs.Timeline.sampler option;
-  mutable server : Rt_obs_http.t option;
 }
-
-let resolve_registry obs =
-  match obs.registry with
-  | Some "" -> Some (Registry.default_dir ())
-  | other -> other
 
 let obs_dir_arg =
   Arg.(value & opt (some string) None & info [ "obs-dir" ] ~docv:"DIR"
-         ~doc:"Write the full run artifact (manifest.json, events.jsonl, metrics.json, \
-               metrics.prom, trace.json, timeline.json, convergence.json) to $(docv); \
-               compare two run directories with $(b,optprob obs-diff).  SIGUSR1 dumps a \
-               live metrics snapshot mid-run.")
-
-let trace_arg =
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-         ~doc:"Write the span timeline as Chrome trace_event JSON to $(docv) \
-               (open in chrome://tracing or https://ui.perfetto.dev).")
-
-let metrics_arg =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-         ~doc:"Write the counter/gauge/histogram snapshot as JSON to $(docv).")
+         ~doc:"Write the run artifact (manifest.json, metrics.json, trace.json, \
+               convergence.json) to $(docv); compare two run directories with \
+               $(b,optprob obs diff).")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ]
          ~doc:"Print the aggregated phase timings, counters and latency histograms to stderr.")
-
-let sample_ms_arg =
-  Arg.(value & opt (some int) None & info [ "obs-sample-ms" ] ~docv:"MS"
-         ~doc:"Start a background sampler domain snapshotting all counters and gauges \
-               (pool utilization, queue depths, GC, live faults) every $(docv) \
-               milliseconds into a bounded ring buffer, flushed to timeline.json in the \
-               --obs-dir artifact.")
-
-let listen_arg =
-  Arg.(value & opt (some int) None & info [ "obs-listen" ] ~docv:"PORT"
-         ~doc:"Serve live observability over HTTP on 127.0.0.1:$(docv) while the run is \
-               in flight: /metrics (OpenMetrics), /healthz, /snapshot (metrics JSON).  \
-               Port 0 picks an ephemeral port (printed on startup).")
 
 let registry_flag_arg =
   Arg.(value & opt ~vopt:(Some "") (some string) None
@@ -88,53 +53,18 @@ let registry_flag_arg =
                list/show/trend/diff.")
 
 let obs_arg =
-  Term.(const (fun obs_dir trace metrics verbose sample_ms listen registry ->
-            { obs_dir; trace; metrics; verbose; sample_ms; listen; registry;
-              t_start = 0.0; sampler = None; server = None })
-        $ obs_dir_arg $ trace_arg $ metrics_arg $ verbose_arg $ sample_ms_arg $ listen_arg
-        $ registry_flag_arg)
+  Term.(const (fun obs_dir verbose registry -> { obs_dir; verbose; registry; t_start = 0.0 })
+        $ obs_dir_arg $ verbose_arg $ registry_flag_arg)
 
 let obs_begin obs =
   obs.t_start <- Unix.gettimeofday ();
-  if obs.obs_dir <> None || obs.trace <> None || obs.metrics <> None || obs.verbose
-     || obs.sample_ms <> None || obs.listen <> None || obs.registry <> None
-  then Rt_obs.set_enabled true;
-  (match obs.obs_dir with
-   | Some dir ->
-     (try
-        Sys.set_signal Sys.sigusr1
-          (Sys.Signal_handle (fun _ -> Rt_obs.Artifact.write_live ~dir))
-      with Invalid_argument _ | Sys_error _ -> ())
-   | None -> ());
-  (match obs.sample_ms with
-   | Some period_ms when period_ms >= 1 ->
-     obs.sampler <- Some (Rt_obs.Timeline.start ~period_ms ())
-   | Some bad -> failwith (Printf.sprintf "--obs-sample-ms %d: period must be >= 1" bad)
-   | None -> ());
-  match obs.listen with
-  | Some port when port >= 0 && port < 65536 ->
-    (try
-       let registry = resolve_registry obs in
-       let srv = Rt_obs_http.start ?registry ~port () in
-       obs.server <- Some srv;
-       Format.eprintf "obs: serving /metrics /healthz /snapshot%s on http://127.0.0.1:%d@."
-         (if registry <> None then " /runs /trend" else "")
-         (Rt_obs_http.port srv)
-     with Unix.Unix_error (err, _, _) ->
-       failwith
-         (Printf.sprintf "--obs-listen %d: cannot bind (%s)" port (Unix.error_message err)))
-  | Some bad -> failwith (Printf.sprintf "--obs-listen %d: not a valid port" bad)
-  | None -> ()
+  if obs.obs_dir <> None || obs.verbose || obs.registry <> None then Rt_obs.set_enabled true
 
-(* Keep the HTTP endpoint answering briefly after the artifacts are written
-   — scripted clients (make obs-live-demo, CI) race the run's natural end. *)
-let obs_linger () =
-  match Sys.getenv_opt "OPTPROB_OBS_LINGER_MS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some ms when ms > 0 -> Unix.sleepf (Float.of_int ms /. 1000.0)
-     | _ -> ())
-  | None -> ()
+(* A convergence recorder whenever the run's artifact will carry it.  It
+   only fills when the optimize stage actually runs (not on a cache hit). *)
+let recorder obs =
+  if obs.obs_dir <> None || obs.registry <> None then Some (Rt_obs.Convergence.create ())
+  else None
 
 (* The manifest carries the full config slice (engine, seed, jobs, circuit,
    patterns, block_words, opt_passes, opt_rounds, objective) so registry
@@ -156,65 +86,25 @@ let manifest_of_cfg ?(cfg : Config.t option) obs =
     ~wall_s:(Unix.gettimeofday () -. obs.t_start) ()
 
 let obs_end ?(cfg : Config.t option) ?convergence obs =
-  (* stop the sampler first so its final sample lands in the timeline and
-     in the artifact snapshot below *)
-  let timeline =
-    match obs.sampler with
-    | Some s ->
-      obs.sampler <- None;
-      let samples, dropped = Rt_obs.Timeline.stop s in
-      Some (samples, dropped)
-    | None -> None
-  in
-  (match obs.trace with
-   | Some path ->
-     Rt_obs.write_trace path;
-     Format.eprintf "wrote trace %s@." path
-   | None -> ());
-  (match obs.metrics with
-   | Some path ->
-     Rt_obs.write_metrics path;
-     Format.eprintf "wrote metrics %s@." path
-   | None -> ());
-  let write_artifact dir =
-    Rt_obs.Artifact.write ~dir ~manifest:(manifest_of_cfg ?cfg obs) ?convergence ();
-    match (timeline, obs.sample_ms) with
-    | Some (samples, dropped), Some period_ms ->
-      Rt_obs.Timeline.write (Filename.concat dir "timeline.json") ~period_ms ~dropped samples
-    | _ -> ()
-  in
+  let manifest = manifest_of_cfg ?cfg obs in
   (match obs.obs_dir with
    | Some dir ->
-     write_artifact dir;
+     Rt_obs.Artifact.write ~dir ~manifest ?convergence ();
      Format.eprintf "wrote run artifact %s@." dir
    | None -> ());
   (* flag-gated auto-ingest: every completed run lands in the registry *)
-  (match resolve_registry obs with
+  (match obs.registry with
    | None -> ()
    | Some reg ->
-     let ingest dir =
-       match Registry.ingest ~registry:reg ~obs_dir:dir () with
-       | Ok id -> Format.eprintf "registry: ingested %s into %s@." id reg
-       | Error msg -> Format.eprintf "registry: ingest failed: %s@." msg
+     let reg = if reg = "" then Registry.default_dir () else reg in
+     let source, art =
+       match obs.obs_dir with
+       | Some dir -> (dir, Rt_obs.Artifact.read dir)
+       | None -> ("capture", Ok (Rt_obs.Artifact.capture ~manifest ?convergence ()))
      in
-     (match obs.obs_dir with
-      | Some dir -> ingest dir
-      | None ->
-        (* no --obs-dir: write a transient artifact just long enough to
-           ingest it *)
-        let tmp = Filename.concat reg (Printf.sprintf "tmp-ingest.%d" (Unix.getpid ())) in
-        write_artifact tmp;
-        ingest tmp;
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat tmp f) with Sys_error _ -> ())
-          (try Sys.readdir tmp with Sys_error _ -> [||]);
-        (try Unix.rmdir tmp with Unix.Unix_error _ -> ())));
-  (match obs.server with
-   | Some srv ->
-     obs.server <- None;
-     obs_linger ();
-     Rt_obs_http.stop srv
-   | None -> ());
+     match Result.bind art (Registry.ingest ~registry:reg ~source) with
+     | Ok id -> Format.eprintf "registry: ingested %s into %s@." id reg
+     | Error msg -> Format.eprintf "registry: ingest failed: %s@." msg);
   if obs.verbose then begin
     Rt_obs.sample_gc ();
     Rt_obs.pp_summary Format.err_formatter
@@ -348,21 +238,10 @@ let optimize_cmd =
     Arg.(value & flag & info [ "partition" ]
            ~doc:"Also try the section-5.3 fault-set partitioning (2 distributions).")
   in
-  let convergence =
-    Arg.(value & opt (some string) None & info [ "convergence" ] ~docv:"FILE"
-           ~doc:"Record per-sweep J_N, required length N and input probabilities to $(docv) \
-                 (.json suffix: JSON, otherwise CSV).")
-  in
-  let run cfg out partition conv obs () =
+  let run cfg out partition obs () =
     obs_begin obs;
     let ctx = Pipeline.create cfg in
-    (* A recorder exists whenever anything will consume it: the legacy
-       --convergence file and/or the --obs-dir convergence.json artifact.
-       It only fills when the stage actually runs (not on a cache hit). *)
-    let recorder =
-      if conv <> None || obs.obs_dir <> None then Some (Rt_obs.Convergence.create ())
-      else None
-    in
+    let recorder = recorder obs in
     let staged =
       Pipeline.optimized
         ~progress:(fun ~sweep ~n -> Format.printf "sweep %d: N = %.3e@." sweep n)
@@ -372,11 +251,6 @@ let optimize_cmd =
     let report = opt.Pipeline.opt_report in
     if staged.Pipeline.from_cache then
       Format.printf "optimized stage served from the work-dir artifact (cache hit)@.";
-    (match (conv, recorder) with
-     | Some path, Some rec_ ->
-       Rt_obs.Convergence.write rec_ path;
-       Format.printf "wrote convergence %s@." path
-     | _ -> ());
     Format.printf "@.engine:        %s@."
       (Pipeline.analysis ctx).Pipeline.value.Pipeline.engine_desc;
     if cfg.Config.objective <> "single" then
@@ -422,8 +296,8 @@ let optimize_cmd =
        ~exits)
     Term.(
       ret
-        (const (fun cfg o p cv obs () -> wrap (run cfg o p cv obs))
-        $ Cli.config () $ out $ partition $ convergence $ obs_arg $ const ()))
+        (const (fun cfg o p obs () -> wrap (run cfg o p obs))
+        $ Cli.config () $ out $ partition $ obs_arg $ const ()))
 
 (* --- simulate -------------------------------------------------------------- *)
 
@@ -477,9 +351,7 @@ let run_cmd =
   let run cfg out quiet obs () =
     obs_begin obs;
     let ctx = Pipeline.create cfg in
-    let recorder =
-      if obs.obs_dir <> None then Some (Rt_obs.Convergence.create ()) else None
-    in
+    let recorder = recorder obs in
     let progress ~sweep ~n =
       if not quiet then Format.printf "sweep %d: N = %.3e@." sweep n
     in
@@ -566,9 +438,9 @@ let selftest_cmd =
         (const (fun c w n () -> wrap (run c w n))
         $ Cli.circuit_arg $ Cli.weights_arg $ patterns $ const ()))
 
-(* --- obs-diff ---------------------------------------------------------------- *)
+(* --- obs: the run-registry subcommand family --------------------------------- *)
 
-(* Threshold flags shared by `obs-diff` and `obs diff`. *)
+(* Threshold flags of `obs diff`. *)
 let diff_thresholds_term =
   let d = Rt_obs.Diff.default in
   let span_ratio =
@@ -600,35 +472,6 @@ let diff_thresholds_term =
 
 let diff_quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only set the exit status; print nothing.")
-
-let run_diff ~thresholds ~quiet a b =
-  let findings = Rt_obs.Diff.compare_dirs ~thresholds a b in
-  if not quiet then Rt_obs.Diff.pp_report Format.std_formatter findings;
-  if Rt_obs.Diff.regressions findings <> [] then exit 3
-
-let obs_diff_cmd =
-  let dir_a =
-    Arg.(required & pos 0 (some dir) None & info [] ~docv:"A"
-           ~doc:"Baseline run artifact directory (from --obs-dir).")
-  in
-  let dir_b =
-    Arg.(required & pos 1 (some dir) None & info [] ~docv:"B"
-           ~doc:"Candidate run artifact directory (from --obs-dir).")
-  in
-  let run a b thresholds quiet () = run_diff ~thresholds ~quiet a b in
-  let exits = Cmd.Exit.info 3 ~doc:"on regressions past the configured thresholds." :: exits in
-  Cmd.v
-    (Cmd.info "obs-diff"
-       ~doc:"Compare two --obs-dir run artifacts: counter deltas, span-tree wall-clock, \
-             histogram quantile shifts, convergence divergence."
-       ~exits)
-    Term.(
-      ret
-        (const (fun a b th q () -> wrap (run a b th q))
-        $ dir_a $ dir_b $ diff_thresholds_term $ diff_quiet_arg
-        $ const ()))
-
-(* --- obs: the run-registry subcommand family --------------------------------- *)
 
 let registry_dir_arg =
   Arg.(value & opt string (Registry.default_dir ())
@@ -737,7 +580,8 @@ let obs_ingest_cmd =
            ~doc:"Pin the record id instead of generating one.")
   in
   let run reg dir id () =
-    match Registry.ingest ?id ~registry:reg ~obs_dir:dir () with
+    let art = Rt_obs.Artifact.read dir in
+    match Result.bind art (Registry.ingest ?id ~registry:reg ~source:dir) with
     | Ok id -> Format.printf "ingested %s as %s@." dir id
     | Error msg -> failwith msg
   in
@@ -874,7 +718,7 @@ let obs_baseline_cmd =
     (Cmd.info "baseline" ~doc:"Manage the promoted baseline record." ~exits)
     [ promote_cmd; show_cmd; clear_cmd ]
 
-let obs_reg_diff_cmd =
+let obs_diff_cmd =
   let side_a =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"A"
            ~doc:"Baseline side: a record id or an artifact directory.  With --baseline \
@@ -889,32 +733,13 @@ let obs_reg_diff_cmd =
            ~doc:"Diff against the promoted baseline instead of an explicit pair.")
   in
   let run reg use_baseline a b thresholds quiet () =
-    let cleanups = ref [] in
-    let tmp_n = ref 0 in
-    (* a side is an existing directory, else a registry record id expanded
-       into a temporary artifact directory *)
+    (* a side is an existing artifact directory, else a registry record id *)
     let resolve name =
-      if Sys.file_exists name && Sys.is_directory name then name
-      else begin
-        let dir =
-          Filename.concat reg
-            (Printf.sprintf "tmp-diff.%d.%d" (Unix.getpid ()) (Stdlib.incr tmp_n; !tmp_n))
-        in
-        match Registry.materialize ~registry:reg ~dir name with
-        | Ok () ->
-          cleanups := dir :: !cleanups;
-          dir
-        | Error msg -> failwith msg
-      end
-    in
-    let cleanup () =
-      List.iter
-        (fun dir ->
-          Array.iter
-            (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-            (try Sys.readdir dir with Sys_error _ -> [||]);
-          try Unix.rmdir dir with Unix.Unix_error _ -> ())
-        !cleanups
+      let art =
+        if Sys.file_exists name && Sys.is_directory name then Rt_obs.Artifact.read name
+        else Result.map Registry.artifact (Registry.load ~registry:reg name)
+      in
+      match art with Ok a -> a | Error msg -> failwith msg
     in
     let name_a, name_b =
       if use_baseline then begin
@@ -939,14 +764,16 @@ let obs_reg_diff_cmd =
         | Some a, Some b -> (a, b)
         | _ -> failwith "give two sides (A B) or --baseline"
     in
-    Fun.protect ~finally:cleanup (fun () ->
-        run_diff ~thresholds ~quiet (resolve name_a) (resolve name_b))
+    let findings = Rt_obs.Diff.compare ~thresholds (resolve name_a) (resolve name_b) in
+    if not quiet then Rt_obs.Diff.pp_report Format.std_formatter findings;
+    if Rt_obs.Diff.regressions findings <> [] then exit 3
   in
   let exits = Cmd.Exit.info 3 ~doc:"on regressions past the configured thresholds." :: exits in
   Cmd.v
     (Cmd.info "diff"
-       ~doc:"Diff two registry records (or artifact directories), or the newest run against \
-             the promoted baseline, with the obs-diff engine and thresholds."
+       ~doc:"Compare two runs — each a registry record id or an --obs-dir artifact \
+             directory — or the newest run against the promoted baseline: counter deltas, \
+             span wall-clock, histogram quantile shifts, convergence final N."
        ~exits)
     Term.(
       ret
@@ -987,7 +814,7 @@ let obs_cmd =
        ~doc:"The persistent run registry: history, trends, baselines and regression gates."
        ~exits)
     [ obs_list_cmd; obs_show_cmd; obs_ingest_cmd; obs_trend_cmd; obs_baseline_cmd;
-      obs_reg_diff_cmd; obs_gc_cmd ]
+      obs_diff_cmd; obs_gc_cmd ]
 
 (* --- tables ------------------------------------------------------------------ *)
 
@@ -1021,6 +848,6 @@ let () =
   let group =
     Cmd.group info
       [ list_cmd; generate_cmd; simplify_cmd; analyze_cmd; optimize_cmd; simulate_cmd;
-        run_cmd; atpg_cmd; selftest_cmd; tables_cmd; obs_diff_cmd; obs_cmd ]
+        run_cmd; atpg_cmd; selftest_cmd; tables_cmd; obs_cmd ]
   in
   exit (Cmd.eval group)

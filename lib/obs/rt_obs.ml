@@ -106,8 +106,8 @@ let track_names_snapshot () =
 
    Callbacks that refresh derived gauges from live state (pool utilization,
    queue depths) right before a snapshot is taken.  Lets lower layers like
-   [Rt_util.Pool] — which depend on this module — feed the sampler, the
-   artifact writer and the HTTP responder without a reverse dependency. *)
+   [Rt_util.Pool] — which depend on this module — feed the artifact writer
+   without a reverse dependency. *)
 
 let sample_hooks : (unit -> unit) list ref = ref []
 
@@ -328,7 +328,7 @@ let hsnap_quantile s q =
 (* --- GC gauges --------------------------------------------------------------
 
    Cheap heap gauges from [Gc.quick_stat], refreshed at phase boundaries
-   (sweep ends, artifact writes, SIGUSR1 dumps).  Gated like everything
+   (sweep ends, artifact writes).  Gated like everything
    else: free when recording is off. *)
 
 let g_minor_words = gauge "gc.minor_words"
@@ -625,43 +625,6 @@ let trace_json () =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-(* One self-describing JSON object per line, spans and marks interleaved in
-   start-timestamp order — greppable, tail-able, trivially parseable. *)
-let events_jsonl () =
-  let lines =
-    List.map
-      (fun ev ->
-        let args =
-          if ev.args = [] then "" else Printf.sprintf ",\"args\":{%s}" (args_json ev.args)
-        in
-        ( ev.ts_us,
-          Printf.sprintf
-            "{\"type\":\"span\",\"name\":\"%s\",\"cat\":\"%s\",\"ts_us\":%.3f,\"dur_us\":%.3f,\"tid\":%d%s}"
-            (json_escape ev.name) (json_escape ev.cat) ev.ts_us ev.dur_us ev.tid args ))
-      (events ())
-    @ List.map
-        (fun m ->
-          let fields =
-            String.concat ","
-              (List.map
-                 (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-                 m.m_fields)
-          in
-          ( m.m_ts_us,
-            Printf.sprintf
-              "{\"type\":\"mark\",\"name\":\"%s\",\"ts_us\":%.3f,\"tid\":%d,\"fields\":{%s}}"
-              (json_escape m.m_name) m.m_ts_us m.m_tid fields ))
-        (marks ())
-  in
-  let lines = List.sort (fun (a, _) (b, _) -> Float.compare a b) lines in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (_, l) ->
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n')
-    lines;
-  Buffer.contents buf
-
 let hsnap_json s =
   let qs =
     [ ("p50", hsnap_quantile s 0.5); ("p90", hsnap_quantile s 0.9); ("p99", hsnap_quantile s 0.99) ]
@@ -691,245 +654,21 @@ let metrics_json () =
   Buffer.add_string buf "{\n  \"schema\": \"optprob-metrics/2\",\n  \"counters\": {\n";
   obj (fun v -> Buffer.add_string buf (string_of_int v)) (counters_snapshot ());
   Buffer.add_string buf "\n  },\n  \"gauges\": {\n";
-  obj (fun v -> Buffer.add_string buf (Printf.sprintf "%.17g" v)) (gauges_snapshot ());
+  obj (fun v -> Buffer.add_string buf (json_float v)) (gauges_snapshot ());
   Buffer.add_string buf "\n  },\n  \"histograms\": {\n";
   obj (fun s -> Buffer.add_string buf (hsnap_json s)) (histograms_snapshot ());
   Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf
 
-(* --- OpenMetrics exposition -------------------------------------------------
+(* --- files -------------------------------------------------------------------
 
-   Text exposition for scrape-based collection: counters (`_total`), gauges,
-   and histograms with cumulative `_bucket{le="..."}` series.  Metric names
-   are sanitised to [a-zA-Z0-9_:] and prefixed with `optprob_`. *)
-
-let prom_name name =
-  let buf = Buffer.create (String.length name + 8) in
-  Buffer.add_string buf "optprob_";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    name;
-  Buffer.contents buf
-
-let prom_float v =
-  if Float.is_nan v then "NaN"
-  else if v = Float.infinity then "+Inf"
-  else if v = Float.neg_infinity then "-Inf"
-  else Printf.sprintf "%.17g" v
-
-let metrics_prom () =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s_total %d\n" n n v))
-    (counters_snapshot ());
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (prom_float v)))
-    (gauges_snapshot ());
-  List.iter
-    (fun (name, s) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
-      let acc = ref 0 in
-      Array.iteri
-        (fun i c ->
-          acc := !acc + c;
-          (* keep the exposition compact: only emit boundaries that close a
-             nonempty prefix, plus the mandatory +Inf bucket *)
-          if c > 0 && i < n_buckets - 1 then
-            Buffer.add_string buf
-              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n (prom_float (bucket_upper i)) !acc))
-        s.buckets;
-      Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n s.count);
-      Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (prom_float s.sum));
-      Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.count))
-    (histograms_snapshot ());
-  Buffer.add_string buf "# EOF\n";
-  Buffer.contents buf
-
-(* Strict structural lint of an OpenMetrics text exposition: family blocks
-   declared by `# TYPE`, counter samples suffixed `_total`, histogram series
-   cumulative with a `+Inf` bucket equal to `_count`, names restricted to
-   [a-zA-Z0-9_:], label values quote-escaped, one trailing `# EOF`.  Used by
-   the parse-back test and available to external checks. *)
-let prom_lint s =
-  let errs = ref [] in
-  let add m = errs := m :: !errs in
-  let errf lineno fmt =
-    Printf.ksprintf (fun m -> add (Printf.sprintf "line %d: %s" lineno m)) fmt
-  in
-  let name_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true | _ -> false in
-  let name_ok n =
-    n <> ""
-    && (match n.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false)
-    && String.for_all name_char n
-  in
-  let value_of v =
-    match v with
-    | "+Inf" -> Some Float.infinity
-    | "-Inf" -> Some Float.neg_infinity
-    | "NaN" -> Some Float.nan
-    | _ -> float_of_string_opt v
-  in
-  (* sample line: name[{k="v",...}] value — quote-aware label scanner *)
-  let parse_sample line =
-    let len = String.length line in
-    let i = ref 0 in
-    while !i < len && name_char line.[!i] do Stdlib.incr i done;
-    let name = String.sub line 0 !i in
-    let labels = ref [] in
-    let ok = ref (name <> "") in
-    if !ok && !i < len && line.[!i] = '{' then begin
-      Stdlib.incr i;
-      let rec pairs () =
-        if !i < len && line.[!i] = '}' then Stdlib.incr i
-        else begin
-          let ks = !i in
-          while
-            !i < len
-            && (match line.[!i] with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-          do
-            Stdlib.incr i
-          done;
-          let k = String.sub line ks (!i - ks) in
-          if k = "" || !i + 1 >= len || line.[!i] <> '=' || line.[!i + 1] <> '"' then ok := false
-          else begin
-            i := !i + 2;
-            let buf = Buffer.create 8 in
-            let closed = ref false in
-            while not !closed && !ok && !i < len do
-              (match line.[!i] with
-               | '"' -> closed := true
-               | '\\' ->
-                 Stdlib.incr i;
-                 if !i >= len then ok := false
-                 else (
-                   match line.[!i] with
-                   | '\\' -> Buffer.add_char buf '\\'
-                   | '"' -> Buffer.add_char buf '"'
-                   | 'n' -> Buffer.add_char buf '\n'
-                   | _ -> ok := false)
-               | c -> Buffer.add_char buf c);
-              Stdlib.incr i
-            done;
-            if not !closed then ok := false
-            else begin
-              labels := (k, Buffer.contents buf) :: !labels;
-              if !i < len && line.[!i] = ',' then begin
-                Stdlib.incr i;
-                pairs ()
-              end
-              else if !i < len && line.[!i] = '}' then Stdlib.incr i
-              else ok := false
-            end
-          end
-        end
-      in
-      pairs ()
-    end;
-    if (not !ok) || !i >= len || line.[!i] <> ' ' then None
-    else Some (name, List.rev !labels, String.sub line (!i + 1) (len - !i - 1))
-  in
-  (* family block state *)
-  let fam = ref None in
-  let seen = Hashtbl.create 16 in
-  let hist_prev = ref 0.0
-  and hist_inf = ref None
-  and hist_count = ref None
-  and fam_line = ref 0 in
-  let finish_family () =
-    match !fam with
-    | Some (n, "histogram") -> (
-      match (!hist_inf, !hist_count) with
-      | None, _ -> errf !fam_line "histogram %s: missing le=\"+Inf\" bucket" n
-      | Some _, None -> errf !fam_line "histogram %s: missing %s_count" n n
-      | Some inf, Some c ->
-        if inf <> c then errf !fam_line "histogram %s: +Inf bucket %g <> count %g" n inf c)
-    | _ -> ()
-  in
-  if s = "" || s.[String.length s - 1] <> '\n' then add "exposition does not end with a newline";
-  let lines = String.split_on_char '\n' s in
-  let n_lines = List.length lines in
-  let eof = ref false in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      if line = "" then begin
-        if i <> n_lines - 1 then errf lineno "unexpected blank line"
-      end
-      else if !eof then errf lineno "content after # EOF"
-      else if line = "# EOF" then begin
-        finish_family ();
-        eof := true
-      end
-      else if line.[0] = '#' then begin
-        match String.split_on_char ' ' line with
-        | [ "#"; "TYPE"; mname; mtype ] ->
-          finish_family ();
-          if not (name_ok mname) then errf lineno "bad metric family name %S" mname;
-          if not (List.mem mtype [ "counter"; "gauge"; "histogram"; "summary"; "info"; "unknown" ])
-          then errf lineno "bad metric type %S" mtype;
-          if Hashtbl.mem seen mname then errf lineno "duplicate family %s" mname;
-          Hashtbl.replace seen mname ();
-          fam := Some (mname, mtype);
-          hist_prev := 0.0;
-          hist_inf := None;
-          hist_count := None;
-          fam_line := lineno
-        | "#" :: ("HELP" | "UNIT") :: _ -> ()
-        | _ -> errf lineno "unrecognized comment line %S" line
-      end
-      else begin
-        match parse_sample line with
-        | None -> errf lineno "malformed sample line %S" line
-        | Some (sname, labels, vstr) ->
-          if not (name_ok sname) then errf lineno "bad sample name %S" sname;
-          (match value_of vstr with
-           | None -> errf lineno "unparseable value %S" vstr
-           | Some v -> (
-             match !fam with
-             | None -> errf lineno "sample %s before any # TYPE" sname
-             | Some (fname, "counter") ->
-               if sname <> fname ^ "_total" && sname <> fname ^ "_created" then
-                 errf lineno "counter sample %s must be %s_total" sname fname
-               else if not (v >= 0.0) then errf lineno "counter %s has non-finite or negative value" sname
-             | Some (fname, "gauge") ->
-               if sname <> fname then errf lineno "gauge sample %s outside family %s" sname fname
-             | Some (fname, "histogram") ->
-               if sname = fname ^ "_bucket" then begin
-                 (match List.assoc_opt "le" labels with
-                  | None -> errf lineno "histogram bucket without le label"
-                  | Some le ->
-                    if value_of le = None then errf lineno "unparseable le=%S" le;
-                    if le = "+Inf" then hist_inf := Some v);
-                 if v < !hist_prev then
-                   errf lineno "histogram %s buckets not cumulative (%g after %g)" fname v !hist_prev;
-                 hist_prev := v
-               end
-               else if sname = fname ^ "_sum" then ()
-               else if sname = fname ^ "_count" then begin
-                 if not (v >= 0.0) then errf lineno "negative histogram count";
-                 hist_count := Some v
-               end
-               else errf lineno "unexpected sample %s in histogram family %s" sname fname
-             | Some _ -> ()))
-      end)
-    lines;
-  if not !eof then add "missing '# EOF' terminator";
-  List.rev !errs
-
-(* Atomic artifact write: a reader polling the directory mid-run (SIGUSR1
-   snapshots, the HTTP responder's fallback, `tail -f` on metrics.prom)
-   must never see a torn file, so write a sibling temp file and rename it
-   into place — [Sys.rename] replaces atomically on POSIX. *)
+   Atomic write: a reader polling a directory mid-run must never see a torn
+   file, so write a sibling temp file and rename it into place —
+   [Sys.rename] replaces atomically on POSIX.  The temp name carries the pid
+   *and* the domain id so concurrent writers within one process cannot
+   collide on the sibling either. *)
 let write_file path s =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let tmp = Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) ((Domain.self () :> int)) in
   let oc = open_out tmp in
   (try output_string oc s
    with e ->
@@ -946,128 +685,11 @@ let read_file path =
   close_in ic;
   s
 
-let write_trace path = write_file path (trace_json ())
-let write_metrics path = write_file path (metrics_json ())
-
-(* --- timeline sampler --------------------------------------------------------
-
-   A background domain that periodically snapshots every counter and gauge
-   (after refreshing the derived ones via the sample hooks and the GC
-   gauges) into a bounded ring buffer, flushed on stop to a
-   `optprob-timeline/1` JSON document.  The ring keeps the newest
-   [capacity] samples and counts what it overwrote, so a runaway run has
-   bounded memory and an honest [dropped] figure. *)
-
-module Timeline = struct
-  type sample = {
-    s_ts_us : float;
-    s_counters : (string * int) list;
-    s_gauges : (string * float) list;
-  }
-
-  type ring = {
-    r_cap : int;
-    r_data : sample option array;
-    mutable r_pushed : int;
-    r_lock : Mutex.t;
-  }
-
-  let ring_create cap =
-    if cap < 1 then invalid_arg "Rt_obs.Timeline.ring_create: capacity must be >= 1";
-    { r_cap = cap; r_data = Array.make cap None; r_pushed = 0; r_lock = Mutex.create () }
-
-  let ring_push r s =
-    Mutex.lock r.r_lock;
-    (* clamp to keep the series strictly monotone even if the wall clock
-       steps backwards between samples *)
-    let s =
-      if r.r_pushed = 0 then s
-      else
-        match r.r_data.((r.r_pushed - 1) mod r.r_cap) with
-        | Some prev when s.s_ts_us <= prev.s_ts_us -> { s with s_ts_us = prev.s_ts_us +. 1e-3 }
-        | _ -> s
-    in
-    r.r_data.(r.r_pushed mod r.r_cap) <- Some s;
-    r.r_pushed <- r.r_pushed + 1;
-    Mutex.unlock r.r_lock
-
-  let ring_flush r =
-    Mutex.lock r.r_lock;
-    let n = Stdlib.min r.r_pushed r.r_cap in
-    let start = r.r_pushed - n in
-    let out = List.init n (fun i -> Option.get r.r_data.((start + i) mod r.r_cap)) in
-    let dropped = r.r_pushed - n in
-    Mutex.unlock r.r_lock;
-    (out, dropped)
-
-  let take_sample () =
-    run_sample_hooks ();
-    sample_gc ();
-    { s_ts_us = now_us (); s_counters = counters_snapshot (); s_gauges = gauges_snapshot () }
-
-  type sampler = {
-    ring : ring;
-    period_ms : int;
-    stop_flag : bool Atomic.t;
-    mutable domain : unit Domain.t option;
-  }
-
-  let start ?(capacity = 4096) ~period_ms () =
-    if period_ms < 1 then invalid_arg "Rt_obs.Timeline.start: period_ms must be >= 1";
-    let t =
-      { ring = ring_create capacity; period_ms; stop_flag = Atomic.make false; domain = None }
-    in
-    let d =
-      Domain.spawn (fun () ->
-          set_track_name "obs-sampler";
-          while not (Atomic.get t.stop_flag) do
-            ring_push t.ring (take_sample ());
-            (* sleep in <= 50 ms steps so stop stays prompt at long periods *)
-            let remaining = ref (Float.of_int t.period_ms /. 1000.0) in
-            while !remaining > 0.0 && not (Atomic.get t.stop_flag) do
-              let dt = Float.min 0.05 !remaining in
-              Unix.sleepf dt;
-              remaining := !remaining -. dt
-            done
-          done)
-    in
-    t.domain <- Some d;
-    t
-
-  let stop t =
-    Atomic.set t.stop_flag true;
-    (match t.domain with
-     | Some d ->
-       Domain.join d;
-       t.domain <- None
-     | None -> ());
-    (* one final sample so even a run shorter than a period flushes a
-       non-empty timeline with end-of-run values *)
-    ring_push t.ring (take_sample ());
-    ring_flush t.ring
-
-  let to_json ~period_ms ~dropped samples =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n  \"schema\": \"optprob-timeline/1\",\n";
-    Buffer.add_string buf (Printf.sprintf "  \"period_ms\": %d,\n" period_ms);
-    Buffer.add_string buf (Printf.sprintf "  \"dropped\": %d,\n" dropped);
-    Buffer.add_string buf "  \"samples\": [\n";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        let kv_int (k, v) = Printf.sprintf "\"%s\": %d" (json_escape k) v in
-        let kv_flt (k, v) = Printf.sprintf "\"%s\": %s" (json_escape k) (json_float v) in
-        Buffer.add_string buf
-          (Printf.sprintf "    {\"ts_us\": %.3f, \"counters\": {%s}, \"gauges\": {%s}}" s.s_ts_us
-             (String.concat ", " (List.map kv_int s.s_counters))
-             (String.concat ", " (List.map kv_flt s.s_gauges))))
-      samples;
-    Buffer.add_string buf "\n  ]\n}\n";
-    Buffer.contents buf
-
-  let write path ~period_ms ~dropped samples =
-    write_file path (to_json ~period_ms ~dropped samples)
-end
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 (* --- human-readable summary ------------------------------------------------ *)
 
@@ -1188,36 +810,6 @@ module Convergence = struct
 
   let pf_quantiles = [ ("p1", 0.01); ("p10", 0.1); ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
 
-  let to_csv t =
-    let rows = rows t in
-    let width = match rows with [] -> 0 | r :: _ -> Array.length r.y in
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "stage,objective,sweep,j_n,n";
-    for i = 0 to width - 1 do
-      Buffer.add_string buf (Printf.sprintf ",y%d" i)
-    done;
-    Buffer.add_string buf ",pf_count,pf_min";
-    List.iter (fun (k, _) -> Buffer.add_string buf (",pf_" ^ k)) pf_quantiles;
-    Buffer.add_string buf ",pf_max";
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s,%s,%d,%.17g,%.17g" r.stage r.objective r.sweep r.j r.n);
-        Array.iter (fun y -> Buffer.add_string buf (Printf.sprintf ",%.17g" y)) r.y;
-        (match r.pf with
-         | Some s ->
-           Buffer.add_string buf (Printf.sprintf ",%d,%.17g" s.count s.min);
-           List.iter
-             (fun (_, q) -> Buffer.add_string buf (Printf.sprintf ",%.17g" (hsnap_quantile s q)))
-             pf_quantiles;
-           Buffer.add_string buf (Printf.sprintf ",%.17g" s.max)
-         | None ->
-           Buffer.add_string buf (String.make (3 + List.length pf_quantiles) ','));
-        Buffer.add_char buf '\n')
-      rows;
-    Buffer.contents buf
-
   let to_json t =
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n  \"schema\": \"optprob-convergence/2\",\n  \"rows\": [\n";
@@ -1245,19 +837,17 @@ module Convergence = struct
       (rows t);
     Buffer.add_string buf "\n  ]\n}\n";
     Buffer.contents buf
-
-  let write t path =
-    let is_json = Filename.check_suffix path ".json" in
-    write_file path (if is_json then to_json t else to_csv t)
 end
 
 (* --- run artifacts ----------------------------------------------------------
 
    One `--obs-dir DIR` run writes a self-describing artifact directory:
-   manifest.json (provenance), events.jsonl (structured log), metrics.json
-   (counters + gauges + histograms), trace.json (Perfetto), metrics.prom
-   (OpenMetrics) and, when a convergence recorder exists, convergence.json.
-   `obs-diff` consumes two such directories. *)
+   manifest.json (provenance), metrics.json (counters + gauges +
+   histograms), trace.json (Perfetto: spans, marks, per-domain tracks) and,
+   when a convergence recorder exists, convergence.json.  [read] is the one
+   way back from such a directory to numbers: the parsed documents plus
+   per-name span totals.  A registry record yields the same [t], so
+   `obs diff` compares a directory and a record alike. *)
 
 module Artifact = struct
   type manifest = {
@@ -1278,12 +868,6 @@ module Artifact = struct
       ?opt_rounds ?objective ~argv ~wall_s () =
     { argv; engine; seed; jobs; circuit; patterns; block_words; opt_passes; opt_rounds;
       objective; wall_s }
-
-  let rec mkdir_p dir =
-    if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
 
   (* Best effort, no subprocess: $OPTPROB_GIT_REV wins, else follow
      .git/HEAD upward from the cwd. *)
@@ -1349,30 +933,127 @@ module Artifact = struct
         Printf.sprintf "  \"wall_s\": %s\n" (json_float m.wall_s);
         "}\n" ]
 
-  (* The live snapshot (also the SIGUSR1 handler's body): metrics only —
-     cheap, and the files a scraper would poll. *)
-  let write_live ~dir =
-    mkdir_p dir;
+  (* The files one run writes, rendered from the live sink.  The sample
+     hooks and GC gauges are refreshed first so derived gauges are current. *)
+  let documents ~manifest ?convergence () =
     run_sample_hooks ();
     sample_gc ();
-    write_file (Filename.concat dir "metrics.json") (metrics_json ());
-    write_file (Filename.concat dir "metrics.prom") (metrics_prom ())
+    [ ("manifest.json", manifest_json manifest);
+      ("metrics.json", metrics_json ());
+      ("trace.json", trace_json ()) ]
+    @
+    match convergence with
+    | Some c -> [ ("convergence.json", Convergence.to_json c) ]
+    | None -> []
 
   let write ~dir ~manifest ?convergence () =
     mkdir_p dir;
-    run_sample_hooks ();
-    sample_gc ();
-    write_file (Filename.concat dir "manifest.json") (manifest_json manifest);
-    write_file (Filename.concat dir "events.jsonl") (events_jsonl ());
-    write_file (Filename.concat dir "metrics.json") (metrics_json ());
-    write_file (Filename.concat dir "metrics.prom") (metrics_prom ());
-    write_file (Filename.concat dir "trace.json") (trace_json ());
-    match convergence with
-    | Some t -> Convergence.write t (Filename.concat dir "convergence.json")
-    | None -> ()
+    List.iter
+      (fun (file, body) -> write_file (Filename.concat dir file) body)
+      (documents ~manifest ?convergence ())
+
+  type t = {
+    manifest : Json.t option;
+    metrics : Json.t;
+    convergence : Json.t option;
+    span_totals : (string * float) list;
+  }
+
+  let num_members = function
+    | Some (Json.Obj fields) ->
+      List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v)) fields
+    | _ -> []
+
+  let sorted tbl =
+    List.sort (fun (a, _) (b, _) -> String.compare a b) (List.of_seq (Hashtbl.to_seq tbl))
+
+  (* Total span wall-clock per name from a Chrome trace document. *)
+  let span_totals trace =
+    let tbl = Hashtbl.create 32 in
+    (match Json.member "traceEvents" trace with
+     | Some (Json.Arr evs) ->
+       List.iter
+         (fun e ->
+           match (Json.member "name" e, Json.member "dur" e) with
+           | Some (Json.Str name), Some (Json.Num dur) ->
+             Hashtbl.replace tbl name (Option.value ~default:0.0 (Hashtbl.find_opt tbl name) +. dur)
+           | _ -> ())
+         evs
+     | _ -> ());
+    sorted tbl
+
+  (* [find file] yields a file's contents when present; an unparseable
+     optional file counts as absent. *)
+  let load ~source find =
+    let doc file =
+      Option.bind (find file) (fun s -> try Some (Json.parse s) with Failure _ -> None)
+    in
+    match doc "metrics.json" with
+    | None -> Error (source ^ ": missing or unreadable metrics.json")
+    | Some metrics ->
+      Ok
+        { manifest = doc "manifest.json";
+          metrics;
+          convergence = doc "convergence.json";
+          span_totals = Option.fold ~none:[] ~some:span_totals (doc "trace.json") }
+
+  let read dir =
+    load ~source:dir (fun file ->
+        let path = Filename.concat dir file in
+        if Sys.file_exists path then try Some (read_file path) with Sys_error _ -> None
+        else None)
+
+  let capture ~manifest ?convergence () =
+    let docs = documents ~manifest ?convergence () in
+    Result.get_ok (load ~source:"capture" (fun file -> List.assoc_opt file docs))
+
+  (* Sweep count plus the final row's N and J_N. *)
+  let convergence_numbers conv =
+    match Option.bind conv (Json.member "rows") with
+    | Some (Json.Arr rows) ->
+      let stage s r = Json.member "stage" r = Some (Json.Str s) in
+      let final key name =
+        match List.rev (List.filter (stage "final") rows) with
+        | r :: _ -> (
+          match Option.bind (Json.member key r) Json.to_float with
+          | Some v -> [ (name, v) ]
+          | None -> [])
+        | [] -> []
+      in
+      (("convergence.sweeps", Float.of_int (List.length (List.filter (stage "sweep") rows)))
+       :: final "n" "convergence.final_n")
+      @ final "j_n" "convergence.final_j"
+    | _ -> []
+
+  let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+  let numbers t =
+    let tbl = Hashtbl.create 128 in
+    let put (k, v) = Hashtbl.replace tbl k v in
+    let section name = Json.member name t.metrics in
+    List.iter put (num_members (section "counters"));
+    List.iter put (num_members (section "gauges"));
+    (match section "histograms" with
+     | Some (Json.Obj hists) ->
+       List.iter
+         (fun (name, h) -> List.iter (fun (k, v) -> put (name ^ "." ^ k, v)) (num_members (Some h)))
+         hists
+     | _ -> ());
+    List.iter (fun (name, us) -> put ("span." ^ name ^ ".us", us)) t.span_totals;
+    let pipeline_total =
+      List.fold_left
+        (fun acc (name, us) -> if has_prefix "pipeline." name then acc +. us else acc)
+        0.0 t.span_totals
+    in
+    if pipeline_total > 0.0 then put ("pipeline.total_us", pipeline_total);
+    Option.iter
+      (fun w -> put ("wall_s", w))
+      (Option.bind t.manifest (fun m -> Option.bind (Json.member "wall_s" m) Json.to_float));
+    List.iter put (convergence_numbers t.convergence);
+    sorted tbl
 end
 
-(* --- obs-diff: artifact regression analysis -------------------------------- *)
+(* --- obs diff: artifact regression analysis --------------------------------- *)
 
 module Diff = struct
   type thresholds = {
@@ -1394,7 +1075,7 @@ module Diff = struct
 
   type finding = {
     severity : severity;
-    kind : string;  (* "counter" | "span" | "histogram" | "convergence" | "manifest" *)
+    kind : string;  (* "counter" | "gauge" | "span" | "histogram" | "convergence" | "manifest" *)
     name : string;
     a : float;
     b : float;
@@ -1411,40 +1092,9 @@ module Diff = struct
     let r = ratio a b in
     if r > thr then Regression else if r < 1.0 /. thr then Improvement else Info
 
-  let load_json dir file =
-    let path = Filename.concat dir file in
-    if Sys.file_exists path then Some (Json.parse (read_file path)) else None
-
-  let num_members = function
-    | Some (Json.Obj fields) ->
-      List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v)) fields
-    | _ -> []
-
-  let obj_members = function
-    | Some (Json.Obj fields) -> fields
-    | _ -> []
-
-  (* Total span wall-clock per name from a trace.json. *)
-  let span_totals = function
-    | None -> []
-    | Some j ->
-      let tbl = Hashtbl.create 32 in
-      (match Json.member "traceEvents" j with
-       | Some (Json.Arr evs) ->
-         List.iter
-           (fun e ->
-             match (Json.member "name" e, Json.member "dur" e) with
-             | Some (Json.Str name), Some (Json.Num dur) ->
-               Hashtbl.replace tbl name ((try Hashtbl.find tbl name with Not_found -> 0.0) +. dur)
-             | _ -> ())
-           evs
-       | _ -> ());
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
   (* Compare two keyed float lists; [gate] decides whether a pair is
      eligible for regression/improvement classification at all. *)
-  let compare_keyed ?(invert = false) ~kind ~thr ~gate ~unit_ a_list b_list =
+  let compare_keyed ~kind ~thr ~gate ~unit_ a_list b_list =
     let names =
       List.sort_uniq String.compare (List.map fst a_list @ List.map fst b_list)
     in
@@ -1453,61 +1103,20 @@ module Diff = struct
         match (List.assoc_opt name a_list, List.assoc_opt name b_list) with
         | Some a, Some b ->
           if a = b then None
-          else begin
-            (* [invert] flips the regression direction for
-               higher-is-better series (e.g. pool utilization). *)
-            let sev =
-              if gate a b then (if invert then classify thr b a else classify thr a b)
-              else Info
-            in
+          else
             Some
-              { severity = sev;
+              { severity = (if gate a b then classify thr a b else Info);
                 kind;
                 name;
                 a;
                 b;
                 detail = Printf.sprintf "%.4g -> %.4g %s (x%.3g)" a b unit_ (ratio a b) }
-          end
         | Some a, None ->
           Some { severity = Info; kind; name; a; b = Float.nan; detail = "only in A" }
         | None, Some b ->
           Some { severity = Info; kind; name; a = Float.nan; b; detail = "only in B" }
         | None, None -> None)
       names
-
-  (* Per-gauge series statistics (mean/peak/p90) from a timeline.json. *)
-  let timeline_series j =
-    match Json.member "samples" j with
-    | Some (Json.Arr samples) ->
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun s ->
-          match Json.member "gauges" s with
-          | Some (Json.Obj gs) ->
-            List.iter
-              (fun (k, v) ->
-                match Json.to_float v with
-                | Some f ->
-                  let vs = try Hashtbl.find tbl k with Not_found -> [] in
-                  Hashtbl.replace tbl k (f :: vs)
-                | None -> ())
-              gs
-          | _ -> ())
-        samples;
-      Hashtbl.fold
-        (fun k vs acc ->
-          let n = List.length vs in
-          if n = 0 then acc
-          else begin
-            let sorted = List.sort Float.compare vs in
-            let peak = List.nth sorted (n - 1) in
-            let p90 = List.nth sorted (Stdlib.min (n - 1) ((n * 9 + 9) / 10 - 1)) in
-            let mean = List.fold_left ( +. ) 0.0 vs /. Float.of_int n in
-            (k ^ ".mean", mean) :: (k ^ ".peak", peak) :: (k ^ ".p90", p90) :: acc
-          end)
-        tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    | _ -> []
 
   let hist_quantiles fields =
     List.filter_map
@@ -1521,36 +1130,31 @@ module Diff = struct
         | _ -> None)
       fields
 
-  let compare_dirs ?(thresholds = default) dir_a dir_b =
-    let ma = load_json dir_a "metrics.json" and mb = load_json dir_b "metrics.json" in
-    if ma = None then failwith (dir_a ^ ": missing or unreadable metrics.json");
-    if mb = None then failwith (dir_b ^ ": missing or unreadable metrics.json");
+  let compare ?(thresholds = default) (a : Artifact.t) (b : Artifact.t) =
     let t = thresholds in
-    let member name j = Option.bind j (Json.member name) in
+    let section name (x : Artifact.t) = Json.member name x.Artifact.metrics in
+    let nums name x = Artifact.num_members (section name x) in
     let counters =
       compare_keyed ~kind:"counter" ~thr:t.counter_ratio
         ~gate:(fun a b -> Float.max a b >= 10.0)
-        ~unit_:""
-        (num_members (member "counters" ma))
-        (num_members (member "counters" mb))
+        ~unit_:"" (nums "counters" a) (nums "counters" b)
     in
     let gauges =
       (* gauges (heap sizes, GC totals) are environment-dependent: report,
          never gate *)
       compare_keyed ~kind:"gauge" ~thr:Float.infinity ~gate:(fun _ _ -> false) ~unit_:""
-        (num_members (member "gauges" ma))
-        (num_members (member "gauges" mb))
+        (nums "gauges" a) (nums "gauges" b)
       |> List.filter (fun f -> Float.abs (ratio f.a f.b -. 1.0) > 0.25)
     in
     let spans =
       compare_keyed ~kind:"span" ~thr:t.span_ratio
         ~gate:(fun a b -> Float.max a b >= t.min_span_us)
-        ~unit_:"us"
-        (span_totals (load_json dir_a "trace.json"))
-        (span_totals (load_json dir_b "trace.json"))
+        ~unit_:"us" a.Artifact.span_totals b.Artifact.span_totals
     in
-    let ha = hist_quantiles (obj_members (member "histograms" ma)) in
-    let hb = hist_quantiles (obj_members (member "histograms" mb)) in
+    let hq x =
+      match section "histograms" x with Some (Json.Obj fs) -> hist_quantiles fs | _ -> []
+    in
+    let ha = hq a and hb = hq b in
     let hists =
       let names = List.sort_uniq String.compare (List.map fst ha @ List.map fst hb) in
       List.filter_map
@@ -1589,47 +1193,11 @@ module Diff = struct
           | None, None -> None)
         names
     in
-    let timelines =
-      (* timeline gauge series: scheduler-derived series (pool/ppsfp
-         prefixes) gate at the quantile threshold; GC/heap series are
-         environment-dependent and report-only, like plain gauges *)
-      match (load_json dir_a "timeline.json", load_json dir_b "timeline.json") with
-      | Some ja, Some jb ->
-        let sa = timeline_series ja and sb = timeline_series jb in
-        let prefixed p (k, _) =
-          String.length k >= String.length p && String.sub k 0 (String.length p) = p
-        in
-        let is_sched x = prefixed "pool." x || prefixed "ppsfp." x in
-        (* utilization is higher-is-better: a drop between runs is the
-           regression direction, unlike queue depths and latencies *)
-        let is_util = prefixed "pool.utilization" in
-        let sched l = List.filter (fun x -> is_sched x && not (is_util x)) l
-        and util l = List.filter is_util l
-        and rest l = List.filter (fun x -> not (is_sched x)) l in
-        let gate a b = Float.max (Float.abs a) (Float.abs b) >= 0.01 in
-        compare_keyed ~kind:"timeline" ~thr:t.quantile_ratio ~gate ~unit_:""
-          (sched sa) (sched sb)
-        @ compare_keyed ~invert:true ~kind:"timeline" ~thr:t.quantile_ratio ~gate ~unit_:""
-            (util sa) (util sb)
-        @ (compare_keyed ~kind:"timeline" ~thr:Float.infinity ~gate:(fun _ _ -> false) ~unit_:""
-             (rest sa) (rest sb)
-          |> List.filter (fun f -> Float.abs (ratio f.a f.b -. 1.0) > 0.25))
-      | _ -> []
-    in
     let convergence =
-      let final j =
-        match member "rows" j with
-        | Some (Json.Arr rows) ->
-          List.fold_left
-            (fun acc r ->
-              match (Json.member "stage" r, Json.member "n" r) with
-              | Some (Json.Str "final"), Some (Json.Num n) -> Some n
-              | _ -> acc)
-            None rows
-        | _ -> None
+      let final (x : Artifact.t) =
+        List.assoc_opt "convergence.final_n" (Artifact.convergence_numbers x.Artifact.convergence)
       in
-      let ca = load_json dir_a "convergence.json" and cb = load_json dir_b "convergence.json" in
-      match (final ca, final cb) with
+      match (final a, final b) with
       | Some na, Some nb when na <> nb ->
         [ { severity = classify t.quantile_ratio na nb;
             kind = "convergence";
@@ -1640,8 +1208,9 @@ module Diff = struct
       | _ -> []
     in
     let manifest =
-      let field name j = Option.bind (member name j) Json.to_string in
-      let a = load_json dir_a "manifest.json" and b = load_json dir_b "manifest.json" in
+      let field name (x : Artifact.t) =
+        Option.bind x.Artifact.manifest (fun m -> Option.bind (Json.member name m) Json.to_string)
+      in
       List.filter_map
         (fun key ->
           match (field key a, field key b) with
@@ -1656,13 +1225,17 @@ module Diff = struct
       (match f.severity with Regression -> 0 | Improvement -> 1 | Info -> 2), -.ratio f.a f.b
     in
     List.sort
-      (fun x y -> compare (rank x) (rank y))
-      (counters @ gauges @ spans @ hists @ timelines @ convergence @ manifest)
+      (fun x y -> Stdlib.compare (rank x) (rank y))
+      (counters @ gauges @ spans @ hists @ convergence @ manifest)
+
+  let compare_dirs ?thresholds dir_a dir_b =
+    let read dir = match Artifact.read dir with Ok x -> x | Error msg -> failwith msg in
+    compare ?thresholds (read dir_a) (read dir_b)
 
   let regressions fs = List.filter (fun f -> f.severity = Regression) fs
 
   let pp_report ppf fs =
-    if fs = [] then Format.fprintf ppf "obs-diff: no differences@."
+    if fs = [] then Format.fprintf ppf "obs diff: no differences@."
     else begin
       let tag f =
         match f.severity with
@@ -1675,6 +1248,6 @@ module Diff = struct
           Format.fprintf ppf "  %-10s %-11s %-44s %s@." (tag f) f.kind f.name f.detail)
         fs;
       let n_reg = List.length (regressions fs) in
-      Format.fprintf ppf "obs-diff: %d difference(s), %d regression(s)@." (List.length fs) n_reg
+      Format.fprintf ppf "obs diff: %d difference(s), %d regression(s)@." (List.length fs) n_reg
     end
 end

@@ -10,11 +10,11 @@
 
     Spans export as Chrome [trace_event] JSON (loadable in [chrome://tracing]
     or {{:https://ui.perfetto.dev}Perfetto}) and as a human-readable
-    aggregated tree.  Counters, gauges and histograms snapshot to JSON and
-    to an OpenMetrics text exposition.  {!Artifact} bundles everything a run
-    recorded into one self-describing directory; {!Diff} compares two such
-    directories.  The convergence recorder is an explicit per-run object
-    (see {!Convergence}) that works independently of the global flag. *)
+    aggregated tree.  Counters, gauges and histograms snapshot to JSON.
+    {!Artifact} bundles everything a run recorded into one self-describing
+    directory and reads it back; {!Diff} compares two read-back runs.  The
+    convergence recorder is an explicit per-run object (see {!Convergence})
+    that works independently of the global flag. *)
 
 val set_enabled : bool -> unit
 (** Turn recording on or off globally.  Off by default. *)
@@ -64,8 +64,7 @@ val events : unit -> event list
 (** {1 Marks}
 
     Instant structured-log events: a name, a timestamp and free-form string
-    fields.  They appear as instant events in the trace and as lines in the
-    [events.jsonl] artifact. *)
+    fields.  They appear as instant events in the trace. *)
 
 type mark = {
   m_name : string;
@@ -90,25 +89,14 @@ val track_names_snapshot : unit -> (int * string) list
 val add_sample_hook : (unit -> unit) -> unit
 (** Register a callback that refreshes derived gauges from live state
     (e.g. pool utilization and queue depths).  Hooks run — oldest first,
-    exceptions swallowed — right before any snapshot is taken: by the
-    {!Timeline} sampler, by {!Artifact.write}/{!Artifact.write_live} and by
-    the HTTP exposition.  Lets low layers feed snapshots without a reverse
-    dependency on their callers. *)
-
-val run_sample_hooks : unit -> unit
-(** Run all registered hooks now (no-op while disabled). *)
+    exceptions swallowed — right before {!Artifact.write} takes its
+    snapshot.  Lets low layers feed snapshots without a reverse dependency
+    on their callers. *)
 
 val trace_json : unit -> string
 (** Chrome [trace_event] JSON: an object with a ["traceEvents"] array of
     complete ("ph":"X") span events plus instant ("ph":"i") marks,
     timestamps in microseconds. *)
-
-val write_trace : string -> unit
-(** Write {!trace_json} to a file. *)
-
-val events_jsonl : unit -> string
-(** Structured log: one self-describing JSON object per line (spans and
-    marks interleaved in start-timestamp order). *)
 
 val pp_summary : Format.formatter -> unit
 (** Human-readable aggregated span tree (count and total wall-clock per
@@ -214,76 +202,21 @@ val metrics_json : unit -> string
     "histograms":{...}}]; each histogram carries count/sum/min/max,
     p50/p90/p99 and its nonzero buckets as [[upper_bound, count]] pairs. *)
 
-val write_metrics : string -> unit
+(** {1 Files} *)
 
-val metrics_prom : unit -> string
-(** OpenMetrics text exposition of counters ([_total]), gauges and
-    histograms (cumulative [_bucket{le="..."}] series), terminated by
-    [# EOF]. *)
+val write_file : string -> string -> unit
+(** [write_file path contents] atomically: a sibling temp file (named after
+    the pid and domain) renamed into place, so no reader sees a torn file. *)
 
-val prom_lint : string -> string list
-(** Strict structural check of an OpenMetrics text exposition: returns one
-    message per violation (empty list = clean).  Checks family declaration
-    order, counter [_total] suffixes, cumulative histogram buckets with a
-    [+Inf] bucket equal to [_count], metric-name characters, label-value
-    escaping and the single trailing [# EOF]. *)
+val read_file : string -> string
 
-(** {1 Timeline sampler}
-
-    A background domain snapshotting every counter and gauge into a bounded
-    ring buffer at a fixed period — the time axis the flat metrics snapshot
-    lacks.  Each sample is taken after {!run_sample_hooks} and {!sample_gc},
-    so derived scheduler gauges are fresh.  Flushes to a
-    [optprob-timeline/1] JSON document ([timeline.json] in an artifact
-    directory); {!Diff.compare_dirs} compares gauge series between two
-    timelines. *)
-
-module Timeline : sig
-  type sample = {
-    s_ts_us : float;  (** strictly monotone within a ring *)
-    s_counters : (string * int) list;
-    s_gauges : (string * float) list;
-  }
-
-  (** Bounded ring of samples: keeps the newest [capacity], counts what it
-      overwrote.  Safe for one writer and concurrent flushers. *)
-  type ring
-
-  val ring_create : int -> ring
-  (** [ring_create capacity]; raises [Invalid_argument] when [capacity < 1]. *)
-
-  val ring_push : ring -> sample -> unit
-  (** Append a sample; its timestamp is clamped to stay strictly above the
-      previous sample's. *)
-
-  val ring_flush : ring -> sample list * int
-  (** Oldest-first retained samples and the count of overwritten ones. *)
-
-  val take_sample : unit -> sample
-  (** One snapshot now: runs the sample hooks, refreshes GC gauges, and
-      captures all counters and gauges. *)
-
-  type sampler
-
-  val start : ?capacity:int -> period_ms:int -> unit -> sampler
-  (** Spawn the sampler domain ([capacity] defaults to 4096 samples).
-      Raises [Invalid_argument] when [period_ms < 1]. *)
-
-  val stop : sampler -> sample list * int
-  (** Stop and join the sampler domain, push one final sample, and flush:
-      returns (samples oldest-first, dropped count). *)
-
-  val to_json : period_ms:int -> dropped:int -> sample list -> string
-  (** The [optprob-timeline/1] document. *)
-
-  val write : string -> period_ms:int -> dropped:int -> sample list -> unit
-  (** Atomically write {!to_json} to a file. *)
-end
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents. *)
 
 (** {1 JSON reader}
 
     A minimal JSON parser (no external dependency) for reading artifacts
-    back — used by {!Diff} and available to tests. *)
+    back — used by {!Artifact.read} and the run registry. *)
 
 module Json : sig
   type t =
@@ -338,15 +271,11 @@ module Convergence : sig
   val rows : t -> row list
   (** Oldest first. *)
 
-  val to_csv : t -> string
-  (** Header [stage,objective,sweep,j_n,n,y0,...,pf_count,pf_min,pf_p1,...,pf_max];
-      floats printed with full precision so the final [n] round-trips
-      exactly. *)
-
   val to_json : t -> string
-
-  val write : t -> string -> unit
-  (** Write {!to_json} if the path ends in [.json], else {!to_csv}. *)
+  (** The [optprob-convergence/2] document: one object per row carrying
+      [stage], [objective], [sweep], [j_n], [n], [y] and the [pf] summary;
+      floats are printed with full precision so the final [n] round-trips
+      exactly. *)
 end
 
 (** {1 Run artifacts} *)
@@ -378,13 +307,33 @@ module Artifact : sig
       (following one level of symbolic ref), else ["unknown"]. *)
 
   val write : dir:string -> manifest:manifest -> ?convergence:Convergence.t -> unit -> unit
-  (** Create [dir] (and parents) and write [manifest.json], [events.jsonl],
-      [metrics.json], [metrics.prom], [trace.json] and — when a recorder is
-      given — [convergence.json].  Samples the GC gauges first. *)
+  (** Create [dir] (and parents) and write [manifest.json], [metrics.json],
+      [trace.json] and — when a recorder is given — [convergence.json], each
+      atomically.  Runs the sample hooks and samples the GC gauges first. *)
 
-  val write_live : dir:string -> unit
-  (** The mid-run snapshot (SIGUSR1 handler body): refresh the GC gauges and
-      rewrite [metrics.json] + [metrics.prom] only. *)
+  (** A run read back: the parsed documents plus the total span wall-clock
+      (µs) per span name. *)
+  type t = {
+    manifest : Json.t option;
+    metrics : Json.t;
+    convergence : Json.t option;
+    span_totals : (string * float) list;  (** sorted by name *)
+  }
+
+  val read : string -> (t, string) result
+  (** Read an artifact directory.  Only [metrics.json] is required; a
+      missing or unparseable optional file counts as absent. *)
+
+  val capture : manifest:manifest -> ?convergence:Convergence.t -> unit -> t
+  (** What {!write} would write right now, read back without touching the
+      disk. *)
+
+  val numbers : t -> (string * float) list
+  (** The flat named-number view, sorted by name: every counter and gauge,
+      every histogram field as [<name>.<field>] ([count], [sum], [min],
+      [max], [p50], [p90], [p99]), [span.<name>.us], [pipeline.total_us]
+      (the sum over [pipeline.*] spans), the manifest's [wall_s], and
+      [convergence.sweeps]/[convergence.final_n]/[convergence.final_j]. *)
 end
 
 (** {1 Artifact diffing} *)
@@ -406,21 +355,20 @@ module Diff : sig
   type finding = {
     severity : severity;
     kind : string;  (** ["counter"], ["gauge"], ["span"], ["histogram"],
-                        ["timeline"], ["convergence"] or ["manifest"] *)
+                        ["convergence"] or ["manifest"] *)
     name : string;
     a : float;
     b : float;
     detail : string;
   }
 
+  val compare : ?thresholds:thresholds -> Artifact.t -> Artifact.t -> finding list
+  (** [compare a b] (A = baseline, B = candidate) returns findings ranked
+      most severe first.  Gauges are report-only. *)
+
   val compare_dirs : ?thresholds:thresholds -> string -> string -> finding list
-  (** [compare_dirs a b] reads two {!Artifact} directories (A = baseline,
-      B = candidate) and returns findings ranked most severe first.
-      When both directories carry a [timeline.json], per-gauge series
-      statistics ([<gauge>.mean]/[.peak]/[.p90]) are compared too:
-      scheduler series ([pool.*], [ppsfp.*]) gate at [quantile_ratio],
-      everything else is report-only.  Raises [Failure] when either
-      directory lacks a readable [metrics.json]. *)
+  (** {!compare} on two {!Artifact.read} directories; raises [Failure] when
+      either lacks a readable [metrics.json]. *)
 
   val regressions : finding list -> finding list
 

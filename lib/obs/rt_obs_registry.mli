@@ -30,9 +30,8 @@ type summary = {
   wall_s : float;
 }
 
-(** A fully loaded record: its summary, the flat derived metric map (counters,
-    gauges, histogram quantiles, span totals, [pipeline.total_us], timeline
-    series statistics, convergence summary) and the raw document. *)
+(** A fully loaded record: its summary, the flat derived metric map
+    ({!Rt_obs.Artifact.numbers} at ingest time) and the raw document. *)
 type record = {
   r_summary : summary;
   r_metrics : (string * float) list;  (** sorted by name *)
@@ -48,11 +47,12 @@ type filter = {
 
 val no_filter : filter
 
-val ingest : ?id:string -> registry:string -> obs_dir:string -> unit -> (string, string) result
-(** Ingest one artifact directory (requires a readable [metrics.json]; all
-    other files are optional) into a new record and refresh the index.
-    Returns the record id — [YYYYMMDDTHHMMSS-xxxxxx] unless [?id] pins it.
-    [Error] when the artifact is unreadable or the id already exists. *)
+val ingest :
+  ?id:string -> registry:string -> source:string -> Rt_obs.Artifact.t -> (string, string) result
+(** Store one run (typically [Rt_obs.Artifact.read dir], with [source] the
+    directory) as a new record and refresh the index.  Returns the record
+    id — [YYYYMMDDTHHMMSS-xxxxxx] unless [?id] pins it.  [Error] when the id
+    already exists or the write fails. *)
 
 val list : ?filter:filter -> registry:string -> unit -> summary list
 (** All records oldest-first, via the index when it is consistent with the
@@ -67,6 +67,11 @@ val metric : record -> string -> float option
 
 val metric_names : record -> string list
 
+val artifact : record -> Rt_obs.Artifact.t
+(** The run a record stores, as {!Rt_obs.Artifact.read} would return it for
+    the ingested directory — so {!Rt_obs.Diff.compare} diffs records and
+    directories alike. *)
+
 (** {1 Baseline} *)
 
 val promote : registry:string -> string -> (unit, string) result
@@ -74,12 +79,6 @@ val promote : registry:string -> string -> (unit, string) result
 
 val promoted : registry:string -> string option
 val clear_baseline : registry:string -> unit
-
-val materialize : registry:string -> dir:string -> string -> (unit, string) result
-(** Expand a record back into an {!Rt_obs.Artifact}-shaped directory
-    ([metrics.json], [manifest.json], [convergence.json] when recorded, and a
-    synthetic [trace.json] carrying one aggregate event per span name) so
-    {!Rt_obs.Diff.compare_dirs} can diff live runs against history. *)
 
 (** {1 Retention} *)
 

@@ -129,14 +129,20 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
   in
   (* The reported starting point is the conventional test (exactly 0.5
      everywhere), even though the search starts from the jittered vector. *)
-  let n_initial = (snd (analyse (Array.make n_inputs 0.5))).Normalize.n in
+  let half = Array.make n_inputs 0.5 in
+  let n_initial = (snd (analyse half)).Normalize.n in
   let pf0v, norm0 = analyse x in
   record ~stage:"initial" ~sweep:0
     ~j:(j_detectable ~objective:obj ~n:norm0.Normalize.n pf0v)
     ~n:norm0.Normalize.n ~y:x ~pf:pf0v;
   Rt_obs.sample_gc ();
-  let best_x = ref (Array.copy x) in
-  let best_n = ref n_initial in
+  (* The best point and its N always belong together: seed them with the
+     better of the conventional test and the search's start, so a run
+     whose sweeps never beat X = 0.5 returns X = 0.5, not the start. *)
+  let best_x, best_n =
+    if norm0.Normalize.n < n_initial then (ref (Array.copy x), ref norm0.Normalize.n)
+    else (ref half, ref n_initial)
+  in
   let history = ref [] in
   let j_history = ref [] in
   let sweeps = ref 0 in

@@ -8,7 +8,7 @@
    crash, or re-run with only downstream options changed, skips straight
    past the untouched prefix.  Every stage records
    [pipeline.stage.<name>.{run,cache_hit}] counters and a
-   [pipeline.<name>] span so obs-diff can attribute a regression to a
+   [pipeline.<name>] span so obs diff can attribute a regression to a
    stage. *)
 
 module Detect = Rt_testability.Detect
@@ -113,9 +113,9 @@ let config t = t.config
 
 (* --- stage executor --------------------------------------------------------- *)
 
-(* Which stage is currently computing, as a gauge the timeline sampler can
-   plot: the 1-based position in the canonical stage order (0 = idle /
-   between stages).  Cache hits never set it — they take microseconds. *)
+(* Which stage is currently computing, as a gauge: the 1-based position in
+   the canonical stage order (0 = idle / between stages).  Cache hits
+   never set it — they take microseconds. *)
 let g_stage = Rt_obs.gauge "pipeline.stage_index"
 
 let stage_index stage =

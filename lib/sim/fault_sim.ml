@@ -189,7 +189,7 @@ let c_dropped = Rt_obs.counter "ppsfp.faults_dropped"
 let h_batch = Rt_obs.histogram "ppsfp.batch_us"
 
 (* Undetected-fault population after the latest batch: the shrinking
-   workload the timeline sampler plots against pool utilization. *)
+   workload behind the pool's utilization. *)
 let g_live = Rt_obs.gauge "ppsfp.live_faults"
 
 (* Sub-millisecond blocks are not worth parallel dispatch

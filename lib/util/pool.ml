@@ -124,10 +124,9 @@ let g_utilization = Rt_obs.gauge "pool.utilization"
 let g_queue_total = Rt_obs.gauge "pool.queue_depth.total"
 
 (* Refresh the derived pool gauges from live scheduler state; registered as
-   an [Rt_obs] sample hook for the default pool so the timeline sampler,
-   artifact writes and the HTTP exposition all see current values.  Takes
-   [t.m] only long enough to read the published job pointer — the cursors
-   themselves are atomics. *)
+   an [Rt_obs] sample hook for the default pool so artifact writes see
+   current values.  Takes [t.m] only long enough to read the published job
+   pointer — the cursors themselves are atomics. *)
 let sample_pool t =
   Mutex.lock t.m;
   let job = if t.quit then None else t.current in
@@ -352,8 +351,8 @@ let shutdown t =
 (* The process-wide pool behind [Parallel.region]/[Parallel.sweep].
    Shut down via [at_exit] so the program never terminates with parked
    domains still alive.  Its scheduler state feeds the [pool.*] gauges
-   through an [Rt_obs] sample hook, so the timeline sampler and the HTTP
-   exposition see live utilization and queue depths. *)
+   through an [Rt_obs] sample hook, so artifact writes see its
+   utilization and queue depths. *)
 let default_pool = ref None
 let default_mutex = Mutex.create ()
 

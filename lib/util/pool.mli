@@ -28,8 +28,7 @@
     instants.  Derived gauges [pool.utilization] (active participants /
     usable lanes) and [pool.queue_depth.d<k>]/[pool.queue_depth.total]
     are refreshed via an [Rt_obs] sample hook registered for the
-    {!default} pool — the timeline sampler, artifact writes and the
-    HTTP exposition all trigger it. *)
+    {!default} pool, which every artifact write triggers. *)
 
 type t
 

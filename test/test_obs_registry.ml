@@ -1,8 +1,8 @@
 (* Tests for Rt_obs_registry: ingest/load parse-back, index durability
    (concurrent writers, corrupt records, lost index), gc retention
-   invariants (qcheck), the step-change detector and sparkline, record
-   materialization through the obs-diff engine, and the /runs + /trend
-   HTTP endpoints (prom-linted live). *)
+   invariants (qcheck), the step-change detector and sparkline, and the
+   baseline workflow: a record diffs exactly like the artifact directory it
+   was ingested from. *)
 
 module Obs = Rt_obs
 module Reg = Rt_obs_registry
@@ -65,8 +65,13 @@ let write_artifact ?(queries = 5) ?(p50 = 100.0) dir =
     ();
   Obs.clear ()
 
+let read_exn dir =
+  match Obs.Artifact.read dir with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "read failed: %s" e
+
 let ingest_exn ?id ~registry dir =
-  match Reg.ingest ?id ~registry ~obs_dir:dir () with
+  match Reg.ingest ?id ~registry ~source:dir (read_exn dir) with
   | Ok id -> id
   | Error e -> Alcotest.failf "ingest failed: %s" e
 
@@ -319,13 +324,15 @@ let test_sparkline_ends =
   let s = Reg.sparkline [| 0.0; 1.0 |] in
   check Alcotest.string "min then max" "\xe2\x96\x81\xe2\x96\x88" s
 
-(* --- baseline + materialize -------------------------------------------------- *)
+(* --- baseline + record/directory parity --------------------------------------- *)
 
-let test_baseline_and_materialize =
+let test_baseline_and_parity =
   with_obs @@ fun () ->
   let registry = scratch_dir "base" in
   let art = scratch_dir "base-art" in
   write_artifact art;
+  let other = scratch_dir "base-other" in
+  write_artifact ~queries:50 ~p50:300.0 other;
   let id = ingest_exn ~registry art in
   check (Alcotest.option Alcotest.string) "no baseline yet" None (Reg.promoted ~registry);
   (match Reg.promote ~registry "nonexistent" with
@@ -335,111 +342,27 @@ let test_baseline_and_materialize =
    | Ok () -> ()
    | Error e -> Alcotest.failf "promote: %s" e);
   check (Alcotest.option Alcotest.string) "promoted" (Some id) (Reg.promoted ~registry);
-  (* a materialized record diffs clean against the original artifact dir:
-     counters and histogram quantiles identical, span totals aggregated
-     but equal — the whole point of keeping records diffable *)
-  let dir = scratch_dir "base-mat" in
-  (match Reg.materialize ~registry ~dir id with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "materialize: %s" e);
-  let d = Obs.Diff.compare_dirs art dir in
-  check Alcotest.int "original vs materialized: no regressions" 0
-    (List.length (Obs.Diff.regressions d));
-  let self = Obs.Diff.compare_dirs dir dir in
-  check Alcotest.int "materialized self-diff clean" 0
-    (List.length (Obs.Diff.regressions self));
+  (* the record stands in for its directory: identical findings against a
+     third run, and each side self-diffs clean *)
+  let dir_run = read_exn art in
+  let rec_run =
+    match Reg.load ~registry id with
+    | Ok r -> Reg.artifact r
+    | Error e -> Alcotest.failf "load: %s" e
+  in
+  let other_run = read_exn other in
+  let findings = Obs.Diff.compare dir_run other_run in
+  check Alcotest.bool "the third run differs" true (Obs.Diff.regressions findings <> []);
+  check Alcotest.bool "directory and record give identical findings" true
+    (compare findings (Obs.Diff.compare rec_run other_run) = 0);
+  check Alcotest.int "directory vs its record: no differences" 0
+    (List.length (Obs.Diff.compare dir_run rec_run));
+  check Alcotest.int "directory self-diff clean" 0
+    (List.length (Obs.Diff.regressions (Obs.Diff.compare dir_run dir_run)));
+  check Alcotest.int "record self-diff clean" 0
+    (List.length (Obs.Diff.regressions (Obs.Diff.compare rec_run rec_run)));
   Reg.clear_baseline ~registry;
   check (Alcotest.option Alcotest.string) "cleared" None (Reg.promoted ~registry)
-
-(* --- HTTP /runs + /trend ------------------------------------------------------ *)
-
-let http_get port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path in
-  let _ = Unix.write_substring fd req 0 (String.length req) in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain ()
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-  in
-  drain ();
-  let raw = Buffer.contents buf in
-  let code =
-    try Scanf.sscanf raw "HTTP/1.1 %d" Fun.id
-    with Scanf.Scan_failure _ | End_of_file -> -1
-  in
-  let body =
-    let rec find i =
-      if i + 4 > String.length raw then String.length raw
-      else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-      else find (i + 1)
-    in
-    let b = find 0 in
-    String.sub raw b (String.length raw - b)
-  in
-  (code, body)
-
-let test_http_endpoints =
-  with_obs @@ fun () ->
-  let registry = scratch_dir "http" in
-  let art = scratch_dir "http-art" in
-  write_artifact art;
-  let id = ingest_exn ~registry art in
-  let srv = Rt_obs_http.start ~registry ~port:0 () in
-  Fun.protect ~finally:(fun () -> Rt_obs_http.stop srv)
-  @@ fun () ->
-  let port = Rt_obs_http.port srv in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  (* JSON bodies parse back and carry the record *)
-  let code, body = http_get port "/runs" in
-  check Alcotest.int "/runs 200" 200 code;
-  let j = Obs.Json.parse body in
-  (match Obs.Json.member "schema" j with
-   | Some (Obs.Json.Str "optprob-runs/1") -> ()
-   | _ -> Alcotest.fail "/runs schema");
-  check Alcotest.bool "/runs lists the record" true (contains id body);
-  let code, body = http_get port "/trend?metric=reg.test.lat_us.p50" in
-  check Alcotest.int "/trend 200" 200 code;
-  (match Obs.Json.member "schema" (Obs.Json.parse body) with
-   | Some (Obs.Json.Str "optprob-trend/1") -> ()
-   | _ -> Alcotest.fail "/trend schema");
-  (* prom variants pass the same lint as /metrics, # EOF terminator and all *)
-  let code, prom = http_get port "/runs?format=prom" in
-  check Alcotest.int "/runs prom 200" 200 code;
-  (match Obs.prom_lint prom with
-   | [] -> ()
-   | errs -> Alcotest.failf "/runs prom fails lint: %s" (String.concat "; " errs));
-  check Alcotest.bool "/runs prom run_info" true (contains "optprob_run_info{" prom);
-  let code, prom = http_get port "/trend?metric=reg.test.lat_us.p50&format=prom" in
-  check Alcotest.int "/trend prom 200" 200 code;
-  (match Obs.prom_lint prom with
-   | [] -> ()
-   | errs -> Alcotest.failf "/trend prom fails lint: %s" (String.concat "; " errs));
-  check Alcotest.bool "/trend prom family" true (contains "optprob_trend{" prom);
-  (* parameter validation *)
-  let code, _ = http_get port "/trend" in
-  check Alcotest.int "/trend without metric is 400" 400 code;
-  (* a server without a registry 404s both endpoints *)
-  let bare = Rt_obs_http.start ~port:0 () in
-  Fun.protect ~finally:(fun () -> Rt_obs_http.stop bare)
-  @@ fun () ->
-  let bport = Rt_obs_http.port bare in
-  let code, _ = http_get bport "/runs" in
-  check Alcotest.int "/runs without registry is 404" 404 code;
-  let code, _ = http_get bport "/trend?metric=x" in
-  check Alcotest.int "/trend without registry is 404" 404 code
 
 let () =
   Alcotest.run "rt_obs_registry"
@@ -456,8 +379,5 @@ let () =
           QCheck_alcotest.to_alcotest test_sparkline;
           Alcotest.test_case "sparkline range ends" `Quick test_sparkline_ends ] );
       ( "baseline",
-        [ Alcotest.test_case "promote/materialize/diff/clear" `Quick
-            test_baseline_and_materialize ] );
-      ( "http",
-        [ Alcotest.test_case "/runs and /trend, prom-linted" `Quick test_http_endpoints ] )
-    ]
+        [ Alcotest.test_case "promote/diff/clear, record = directory" `Quick
+            test_baseline_and_parity ] ) ]

@@ -232,6 +232,18 @@ let test_optimize_respects_start () =
   let r = Optimize.run ~options oracle in
   check Alcotest.bool "still improves from a bad start" true (Optimize.improvement r > 10.0)
 
+(* Regression: on c6288ish no sweep beats the conventional test, so the
+   result must be X = 0.5 itself (N = 546), not the jittered start the
+   search began from (N = 669 before the fix). *)
+let test_optimize_never_worse_than_start () =
+  let c = Generators.c6288ish () in
+  let faults = Rt_fault.Collapse.collapsed_universe c in
+  let r = Optimize.run (Detect.make Detect.Cop c faults) in
+  check Alcotest.bool
+    (Printf.sprintf "n_final %.0f <= n_initial %.0f" r.Optimize.n_final r.Optimize.n_initial)
+    true
+    (r.Optimize.n_final <= r.Optimize.n_initial)
+
 let test_optimize_rejects_bad_start () =
   let c = Generators.wide_and 8 in
   let faults = Rt_fault.Collapse.collapsed_universe c in
@@ -396,6 +408,8 @@ let () =
         [ Alcotest.test_case "wide AND" `Quick test_optimize_improves_wide_and;
           Alcotest.test_case "s1 order of magnitude" `Slow test_optimize_s1_order_of_magnitude;
           Alcotest.test_case "respects start" `Quick test_optimize_respects_start;
+          Alcotest.test_case "never worse than the conventional test" `Quick
+            test_optimize_never_worse_than_start;
           Alcotest.test_case "rejects bad start" `Quick test_optimize_rejects_bad_start;
           Alcotest.test_case "incremental cofactors drive PREPARE" `Quick
             test_optimize_uses_incremental_cofactors;
