@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the pre-commit gate.
 
-.PHONY: all check test bench bench-json bench-smoke obs-demo obs-history-demo pipeline-demo opt-demo objective-demo clean
+.PHONY: all check test bench bench-json bench-smoke obs-demo obs-history-demo pipeline-demo objective-demo clean
 
 all:
 	dune build
@@ -126,16 +126,6 @@ objective-demo:
 	@grep -q '"objective.ndetect_2.runs"' _obs/objective-demo/nd/metrics.json || \
 	  { echo "objective-demo FAIL: per-objective run counter missing"; exit 1; }
 	@echo "objective-demo: objectives share upstream stages, separate downstream keys"
-
-# Netlist-optimization demo: simplify the deliberately redundant example
-# netlist and show the per-pass removal stats; then prove the generated
-# circuits are already fixpoints (relevel only, nothing removed).
-opt-demo:
-	dune exec bin/main.exe -- simplify examples/opt_demo.bench | tee /tmp/optprob-opt-demo.out
-	@grep -q 'pass const-fold' /tmp/optprob-opt-demo.out || { echo "opt-demo FAIL: no per-pass stats"; exit 1; }
-	@grep -q 'nodes removed: 11' /tmp/optprob-opt-demo.out || { echo "opt-demo FAIL: expected 11 nodes removed"; exit 1; }
-	dune exec bin/main.exe -- simplify s1 | grep 'nodes removed'
-	@echo "opt-demo: ok"
 
 clean:
 	dune clean

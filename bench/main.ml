@@ -149,7 +149,8 @@ let kernel_tests () =
   let x = Array.make n_inputs 0.5 in
   let cop = Rt_pipeline.oracle s1 in
   let bdd = Rt_pipeline.oracle (pctx ~engine:"bdd:500000" "s1") in
-  let sim = Rt_sim.Logic_sim.create c in
+  let sim = Rt_sim.Logic_sim.create ~words:1 c in
+  let blk = Rt_sim.Pattern.make_block ~n_inputs ~words:1 in
   let rng = Rt_util.Rng.create 1 in
   let source = Rt_sim.Pattern.equiprobable rng ~n_inputs in
   let lfsr = Rt_bist.Lfsr.create ~width:32 1L in
@@ -294,7 +295,9 @@ let kernel_tests () =
     Test.make ~name:"prepare+minimize sweep (cop, s1) objective=ndetect:2"
       (Staged.stage prep_ndetect);
     Test.make ~name:"logic sim 64 patterns (s1)"
-      (Staged.stage (fun () -> Rt_sim.Logic_sim.run sim (source ())));
+      (Staged.stage (fun () ->
+           Rt_sim.Pattern.fill_block source blk ~needed:64;
+           Rt_sim.Logic_sim.run sim blk));
     Test.make ~name:"ppsfp 256 patterns (8x8 multiplier) jobs=1"
       (Staged.stage (fun () ->
            ignore

@@ -20,8 +20,8 @@ type stats = {
    by word* — a fault detected in word [w] leaves the live set before
    word [w+1] is accounted, and a block's trailing words are not
    accounted once the live set empties — so the returned stats are
-   bit-identical to the one-word path for every (jobs, block_words)
-   combination.  The only W-dependence is source consumption: a block is
+   bit-identical to W=1 (one word per block) for every (jobs,
+   block_words) combination.  The only W-dependence is source consumption: a block is
    filled before simulating, so when dropping empties the live set
    mid-block up to [W - 1] already-pulled batches go unused.  [jobs > 1]
    shards the per-fault work across pool domains (each with its own
@@ -124,13 +124,13 @@ let mark_dirty_out ws n =
   end
 
 (* Computes the per-word detection row for one fault on the current
-   block into [ws.det].  [good] is the fault-free wide simulation,
+   block into [ws.det].  [good] is the fault-free block simulation,
    shared read-only across domains; [lanes.(k)] masks word [k]'s valid
-   lanes.  The wide event frontier is the union of the per-word narrow
+   lanes.  The block's event frontier is the union of the per-word
    frontiers (a node is re-evaluated if *any* word differs, and its
    stored faulty row is exact for every word), so each word's masked
    output differences — hence the stats replayed from them — equal the
-   one-word computation exactly. *)
+   W=1 computation exactly. *)
 let inject_and_propagate ws ~good ~lanes fault =
   let c = ws.c in
   reset ws;
@@ -223,43 +223,52 @@ let lanes_of_block blk =
   Array.init blk.Pattern.words (fun k ->
       if k < blk.Pattern.filled then Pattern.word_mask blk.Pattern.counts.(k) else 0L)
 
-(* Run one block's per-fault propagation for the first [todo] entries of
-   [live], writing each fault's detection row into [table] at its
-   fault-indexed row (disjoint rows, so sharding is race-free). *)
-let propagate_block ~label ~jobs ~wss ~good ~lanes ~table ~live ~todo faults =
-  let words = wss.(0).w in
-  Rt_util.Parallel.sweep ~label ~seq_below:ppsfp_seq_below ~jobs ~n:todo
-    (fun ~worker ~lo ~hi ->
-      let ws = wss.(worker) in
-      for p = lo to hi - 1 do
-        let fi = live.(p) in
-        inject_and_propagate ws ~good ~lanes faults.(fi);
-        for k = 0 to words - 1 do
-          BA1.unsafe_set table ((fi * words) + k) ws.det.(k)
-        done
-      done)
+(* What the response variant adds to the block loop: [capture] runs on
+   the worker right after a fault's propagation, while the workspace
+   still holds its faulty output rows, and [on_detect] runs in the
+   replay for every word that detects a fault, with [pos] the stream
+   index of the word's first lane. *)
+type hooks = {
+  capture : ws -> good:Pattern.words -> lanes:int64 array -> int -> unit;
+  on_detect : int -> word:int -> cnt:int -> pos:int -> int64 -> unit;
+}
 
-let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
+(* The one PPSFP block loop behind both entry points: fill a block, run
+   the good machine, sweep the live faults' propagation across the pool
+   (each fault's detection row lands in [table] at its fault-indexed row
+   — disjoint rows, so sharding is race-free), replay detections serially
+   word by word, then compact the live set. *)
+let run ~span ~label ?hooks ?jobs ?block_words ~drop c faults ~source ~n_patterns =
   let jobs = Rt_util.Parallel.resolve_jobs jobs in
   let words = Pattern.resolve_block_words block_words in
   let nf = Array.length faults in
   let first_detect = Array.make nf (-1) in
   let detect_count = Array.make nf 0 in
-  let sim = Logic_sim.create_wide ~words c in
+  let sim = Logic_sim.create ~words c in
   let wss = Array.init jobs (fun _ -> make_ws ~words c) in
   let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
   let table = BA1.create Bigarray.int64 Bigarray.c_layout (max 1 (nf * words)) in
   let live = cone_order c faults in
   let n_live = ref nf in
   let base = ref 0 in
-  Rt_obs.with_span ~cat:"sim" "fault_sim" @@ fun () ->
+  Rt_obs.with_span ~cat:"sim" span @@ fun () ->
   while !base < n_patterns && (!n_live > 0 || not drop) do
     let t_batch = Rt_obs.span_begin () in
     Pattern.fill_block source blk ~needed:(n_patterns - !base);
     let lanes = lanes_of_block blk in
-    Logic_sim.run_wide sim blk;
-    let good = Logic_sim.wide_values sim in
-    propagate_block ~label:"ppsfp" ~jobs ~wss ~good ~lanes ~table ~live ~todo:!n_live faults;
+    Logic_sim.run sim blk;
+    let good = Logic_sim.values sim in
+    Rt_util.Parallel.sweep ~label ~seq_below:ppsfp_seq_below ~jobs ~n:!n_live
+      (fun ~worker ~lo ~hi ->
+        let ws = wss.(worker) in
+        for p = lo to hi - 1 do
+          let fi = live.(p) in
+          inject_and_propagate ws ~good ~lanes faults.(fi);
+          for k = 0 to ws.w - 1 do
+            BA1.unsafe_set table ((fi * ws.w) + k) ws.det.(k)
+          done;
+          match hooks with Some h -> h.capture ws ~good ~lanes fi | None -> ()
+        done);
     (* Serial word-by-word replay: within a word, detections are lane-
        parallel; between words, drops take effect, exactly as if each
        word had been its own batch. *)
@@ -276,6 +285,10 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
             if first_detect.(fi) < 0 then
               first_detect.(fi) <- !base + !processed + Bits.ctz d;
             detect_count.(fi) <- detect_count.(fi) + Bits.popcount d;
+            (match hooks with
+             | Some h ->
+               h.on_detect fi ~word:!w ~cnt:blk.Pattern.counts.(!w) ~pos:(!base + !processed) d
+             | None -> ());
             if drop then decr alive
           end
         end
@@ -304,103 +317,51 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
   done;
   { faults; first_detect; detect_count; patterns_run = !base }
 
+let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
+  run ~span:"fault_sim" ~label:"ppsfp" ?jobs ?block_words ~drop c faults ~source ~n_patterns
+
 let simulate_with_responses ?jobs ?block_words ?(drop = false) c faults ~source ~n_patterns =
-  let jobs = Rt_util.Parallel.resolve_jobs jobs in
   let words = Pattern.resolve_block_words block_words in
   let nf = Array.length faults in
-  let first_detect = Array.make nf (-1) in
-  let detect_count = Array.make nf 0 in
   let responses = Array.make nf [] in
-  let sim = Logic_sim.create_wide ~words c in
-  let wss = Array.init jobs (fun _ -> make_ws ~words c) in
-  let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
-  let table = BA1.create Bigarray.int64 Bigarray.c_layout (max 1 (nf * words)) in
   (* Per detecting fault the output-difference words must be captured
      before the workspace is reused for the next fault; rows are
      allocated only on detection, so the table stays sparse. *)
   let diffs = Array.make nf [||] in
   let outputs = Netlist.outputs c in
   let n_out = min 64 (Array.length outputs) in
-  let live = cone_order c faults in
-  let n_live = ref nf in
-  let base = ref 0 in
-  Rt_obs.with_span ~cat:"sim" "fault_sim.responses" @@ fun () ->
-  while !base < n_patterns && (!n_live > 0 || not drop) do
-    Pattern.fill_block source blk ~needed:(n_patterns - !base);
-    let lanes = lanes_of_block blk in
-    Logic_sim.run_wide sim blk;
-    let good = Logic_sim.wide_values sim in
-    Rt_util.Parallel.sweep ~label:"ppsfp.responses" ~seq_below:ppsfp_seq_below ~jobs ~n:!n_live
-      (fun ~worker ~lo ~hi ->
-        let ws = wss.(worker) in
-        for p = lo to hi - 1 do
-          let fi = live.(p) in
-          inject_and_propagate ws ~good ~lanes faults.(fi);
-          let any = ref false in
-          for k = 0 to words - 1 do
-            BA1.unsafe_set table ((fi * words) + k) ws.det.(k);
-            if not (Int64.equal ws.det.(k) 0L) then any := true
-          done;
-          diffs.(fi) <-
-            (if not !any then [||]
-             else
-               Array.init (n_out * words) (fun i ->
-                   let o = outputs.(i / words) and k = i mod words in
-                   if ws.dirty.(o) then
-                     Int64.logand
-                       (Int64.logxor (BA1.unsafe_get ws.fval ((o * ws.w) + k)) (BA1.unsafe_get good ((o * ws.w) + k)))
-                       lanes.(k)
-                   else 0L))
-        done);
-    let n0 = !n_live in
-    let alive = ref n0 in
-    let processed = ref 0 in
-    let w = ref 0 in
-    while !w < blk.Pattern.filled && (!alive > 0 || not drop) do
-      let cnt = blk.Pattern.counts.(!w) in
-      for p = 0 to n0 - 1 do
-        let fi = live.(p) in
-        if not (drop && first_detect.(fi) >= 0) then begin
-          let d = BA1.unsafe_get table ((fi * words) + !w) in
-          if not (Int64.equal d 0L) then begin
-            if first_detect.(fi) < 0 then
-              first_detect.(fi) <- !base + !processed + Bits.ctz d;
-            detect_count.(fi) <- detect_count.(fi) + Bits.popcount d;
-            let row = diffs.(fi) in
-            for lane = 0 to cnt - 1 do
-              if Int64.logand (Int64.shift_right_logical d lane) 1L <> 0L then begin
-                let dw = ref 0L in
-                for k = 0 to n_out - 1 do
-                  if
-                    Int64.logand (Int64.shift_right_logical row.((k * words) + !w) lane) 1L <> 0L
-                  then dw := Int64.logor !dw (Int64.shift_left 1L k)
-                done;
-                responses.(fi) <- (!base + !processed + lane, !dw) :: responses.(fi)
-              end
-            done;
-            if drop then decr alive
-          end
-        end
-      done;
-      processed := !processed + cnt;
-      incr w
-    done;
-    if drop then begin
-      let k = ref 0 in
-      for p = 0 to n0 - 1 do
-        let fi = live.(p) in
-        if first_detect.(fi) < 0 then begin
-          live.(!k) <- fi;
-          incr k
-        end
-      done;
-      n_live := !k
-    end;
-    Rt_obs.gauge_set g_live (Float.of_int !n_live);
-    base := !base + !processed
-  done;
-  let responses = Array.map List.rev responses in
-  ({ faults; first_detect; detect_count; patterns_run = !base }, responses)
+  let capture ws ~good ~lanes fi =
+    diffs.(fi) <-
+      (if Array.for_all (Int64.equal 0L) ws.det then [||]
+       else
+         Array.init (n_out * words) (fun i ->
+             let o = outputs.(i / words) and k = i mod words in
+             if ws.dirty.(o) then
+               Int64.logand
+                 (Int64.logxor (BA1.unsafe_get ws.fval ((o * words) + k)) (BA1.unsafe_get good ((o * words) + k)))
+                 lanes.(k)
+             else 0L))
+  in
+  (* Decode each detecting lane of word [word] into its per-output
+     difference word. *)
+  let on_detect fi ~word ~cnt ~pos d =
+    let row = diffs.(fi) in
+    for lane = 0 to cnt - 1 do
+      if Int64.logand (Int64.shift_right_logical d lane) 1L <> 0L then begin
+        let dw = ref 0L in
+        for k = 0 to n_out - 1 do
+          if Int64.logand (Int64.shift_right_logical row.((k * words) + word) lane) 1L <> 0L then
+            dw := Int64.logor !dw (Int64.shift_left 1L k)
+        done;
+        responses.(fi) <- (pos + lane, !dw) :: responses.(fi)
+      end
+    done
+  in
+  let stats =
+    run ~span:"fault_sim.responses" ~label:"ppsfp.responses" ~hooks:{ capture; on_detect } ?jobs
+      ~block_words:words ~drop c faults ~source ~n_patterns
+  in
+  (stats, Array.map List.rev responses)
 
 let detects c f pattern =
   let good = Netlist.eval c pattern in

@@ -65,7 +65,9 @@ val simulate_with_responses :
     longer simulated, so its response stream ends at its first detecting
     word and the run stops early once every fault is detected.  With
     [~drop:true] the returned [stats] equal [simulate ~drop:true]'s
-    bit-for-bit; [jobs]/[block_words] behave as in {!simulate}. *)
+    bit-for-bit; [jobs]/[block_words] behave as in {!simulate}.  Both
+    entry points run the same block loop and record the same
+    [ppsfp.*] counters and batch spans. *)
 
 val detects :
   Rt_circuit.Netlist.t -> Rt_fault.Fault.t -> bool array -> bool

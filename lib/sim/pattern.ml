@@ -6,9 +6,6 @@ type batch = {
 
 type source = unit -> batch
 
-let lane_mask b =
-  if b.n_patterns >= 64 then -1L else Int64.sub (Int64.shift_left 1L b.n_patterns) 1L
-
 let pattern b l =
   if l < 0 || l >= b.n_patterns then invalid_arg "Pattern.pattern: lane out of range";
   Array.init b.n_inputs (fun i ->
@@ -54,10 +51,9 @@ let constant_weight rng ~n_inputs p =
 (* Wide blocks: W words of up to 64 patterns each, Bigarray-backed so the
    whole block is one flat unboxed buffer (input-major — input [i]'s W
    words are contiguous, matching the per-input fill and the wide sim's
-   inner word loop).  A block is *filled from* the narrow source, one
-   batch per word in stream order, so the pattern sequence — and hence
-   every downstream statistic — is identical to pulling the same source
-   through the one-word path. *)
+   inner word loop).  A block is *filled from* the source, one batch per
+   word in stream order, so the pattern sequence — and hence every
+   downstream statistic — is the same at every width. *)
 
 type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -108,10 +104,9 @@ let fill_block src blk ~needed =
   while !w < blk.words && !remaining > 0 do
     let b = src () in
     if b.n_inputs <> blk.width then invalid_arg "Pattern.fill_block: input width mismatch";
-    (* Same per-batch truncation rule as the narrow consumers: the source
-       batch is taken whole unless fewer patterns are still needed.  Lanes
-       past [counts.(w)] carry whatever the source produced; consumers
-       mask with [word_mask]. *)
+    (* Per-batch truncation: the source batch is taken whole unless fewer
+       patterns are still needed.  Lanes past [counts.(w)] carry whatever
+       the source produced; consumers mask with [word_mask]. *)
     let count = min b.n_patterns !remaining in
     blk.counts.(!w) <- count;
     for i = 0 to blk.width - 1 do

@@ -2,16 +2,14 @@
 
     A batch packs up to 64 patterns: one 64-bit word per primary input,
     bit [l] of word [i] being input [i]'s value in pattern (lane) [l].
-    Unused lanes of a short batch are zero and excluded by [lane_mask]. *)
+    Unused lanes of a short batch are zero; [word_mask n_patterns] masks
+    the valid ones. *)
 
 type batch = {
   n_inputs : int;
   n_patterns : int;  (** 1..64 *)
   bits : int64 array;  (** one word per input *)
 }
-
-val lane_mask : batch -> int64
-(** Ones in the valid lanes. *)
 
 val pattern : batch -> int -> bool array
 (** Extract lane [l] as a plain input vector. *)
@@ -37,10 +35,10 @@ val take : source -> int -> batch list
 
 (** {1 Wide blocks}
 
-    A block is [words] consecutive batches from a narrow {!source} packed
-    into one flat unboxed buffer — up to [64 * words] patterns simulated
-    per good-machine pass.  Filling pulls the source in stream order, so
-    the pattern sequence (and every downstream statistic) is identical to
+    A block is [words] consecutive batches from a {!source} packed into
+    one flat unboxed buffer — up to [64 * words] patterns simulated per
+    good-machine pass.  Filling pulls the source in stream order, so the
+    pattern sequence (and every downstream statistic) is identical to
     consuming the same source one batch at a time. *)
 
 type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -75,8 +73,8 @@ val make_block : n_inputs:int -> words:int -> block
 val fill_block : source -> block -> needed:int -> unit
 (** Pull up to [block.words] batches (stopping once [needed] patterns are
     packed) into the block, overwriting its previous contents.  Each
-    pulled batch becomes one word, truncated — like the narrow consumers —
-    to the patterns still needed; lanes past a word's count are unmasked
+    pulled batch becomes one word, truncated to the patterns still
+    needed; lanes past a word's count are unmasked
     garbage, so consumers must apply {!word_mask}.  At most [needed]
     patterns and at least one word result ([needed > 0] required). *)
 

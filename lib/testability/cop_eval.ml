@@ -1,7 +1,8 @@
-(* COP evaluation: the activation x observability estimate, in three
-   forms — full sweep, plan-restricted sweep, and an incremental state
-   that caches a base point's signal probabilities / observabilities and
-   re-evaluates only a flipped input's damage cone.
+(* COP evaluation: the activation x observability estimate, in two
+   forms — a plan-restricted sweep (an all-faults plan is the full
+   sweep) and an incremental state that caches a base point's signal
+   probabilities / observabilities and re-evaluates only a flipped
+   input's damage cone.
 
    Bit-identity invariant (what makes the incremental path safe for the
    optimizer): after any [eval] / [cofactor_pair], the returned vector is
@@ -38,13 +39,6 @@ let fill ~jobs c ~sp ~obs faults out =
       for i = lo to hi - 1 do
         out.(i) <- fault_prob c ~sp ~obs faults.(i)
       done)
-
-let probs ?(jobs = 1) c faults x =
-  let sp = Signal_prob.independence c x in
-  let obs = Observability.cop c ~node_probs:sp in
-  let out = Array.make (Array.length faults) 0.0 in
-  fill ~jobs c ~sp ~obs faults out;
-  out
 
 let probs_subset ?(jobs = 1) c plan x =
   let sp = Signal_prob.independence_subset c ~mask:(Oracle.sp_mask plan) x in

@@ -1,5 +1,7 @@
-(** COP detection-probability evaluation: full sweeps, plan-restricted
-    sweeps, and an incremental state for cofactor queries.
+(** COP detection-probability evaluation: plan-restricted sweeps (an
+    all-faults plan is the full sweep) and an incremental state for
+    cofactor queries.  The unrestricted reference is {!fault_prob} over
+    {!Signal_prob.independence} and {!Observability.cop}.
 
     The incremental {!state} caches the signal probabilities and
     observabilities of a base point [x] under a plan's masks.  A query at
@@ -34,9 +36,6 @@ val fill :
   unit
 (** Fill [out.(i) <- fault_prob faults.(i)] for all faults, sharded across
     [jobs] domains for large fault arrays.  Bit-identical for any [jobs]. *)
-
-val probs : ?jobs:int -> Rt_circuit.Netlist.t -> Rt_fault.Fault.t array -> float array -> float array
-(** Full-circuit COP estimate of [p_f(X)] per fault. *)
 
 val probs_subset : ?jobs:int -> Rt_circuit.Netlist.t -> Oracle.plan -> float array -> float array
 (** Plan-restricted sweep: masked signal-probability and observability

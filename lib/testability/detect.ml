@@ -4,7 +4,8 @@
    generic cofactor fallback — all live in [Oracle]; the COP sweep core
    and the incremental damage-cone evaluator live in [Cop_eval].  What
    remains here is one constructor per ANALYSIS engine, each registering
-   its fused [cofactor_pair] when it has one:
+   one subset evaluation (full queries are subset queries on an
+   all-faults plan) and its fused [cofactor_pair] when it has one:
 
    - COP: a shared incremental state re-evaluates only the flipped
      input's cone (and commits the patch when the optimizer moves the
@@ -50,7 +51,6 @@ let make_cop ~jobs c faults =
   let st = Cop_eval.create ~jobs c in
   Oracle.make ~kind:"cop" ~label:"cop" ~c ~faults ~exact:(no_flags faults)
     ~redundant:(no_flags faults)
-    ~run:(fun x -> Cop_eval.probs ~jobs c faults x)
     ~run_subset:(fun plan x -> Cop_eval.probs_subset ~jobs c plan x)
     ~cofactor_pair:(fun plan ~input x -> Cop_eval.cofactor_pair st plan ~input x)
     ()
@@ -100,15 +100,6 @@ let conditioned_expand ~jobs ~positions ~nf x eval_assignment =
     | first :: rest ->
       List.iter (fun p -> Array.iteri (fun i v -> first.(i) <- first.(i) +. v) p) rest;
       first
-  end
-
-let conditioned_probs ?(jobs = 1) ~max_vars c faults x =
-  let set = Signal_prob.conditioning_set ~max_vars c in
-  if Array.length set = 0 then Cop_eval.probs ~jobs c faults x
-  else begin
-    let positions = Array.map (fun i -> Netlist.input_index c i) set in
-    conditioned_expand ~jobs ~positions ~nf:(Array.length faults) x (fun x' ->
-        Cop_eval.probs c faults x')
   end
 
 let conditioned_probs_subset ?(jobs = 1) ~max_vars c plan x =
@@ -206,7 +197,6 @@ let make_conditioned ~jobs ~max_vars c faults =
   Oracle.make ~kind:"conditioned"
     ~label:(Printf.sprintf "conditioned(cop, %d vars)" k)
     ~c ~faults ~exact:(no_flags faults) ~redundant:(no_flags faults)
-    ~run:(fun x -> conditioned_probs ~jobs ~max_vars c faults x)
     ~run_subset:(fun plan x -> conditioned_probs_subset ~jobs ~max_vars c plan x)
     ?cofactor_pair:cofactor ()
 
@@ -339,30 +329,6 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
       subset;
     (!idxs, !roots)
   in
-  let run x =
-    let x_of_var = x_of_var_table x in
-    let out = Array.make nf 0.0 in
-    (* Batch the prob evaluation per generation to share memo tables. *)
-    Array.iteri
-      (fun gi (m, _) ->
-        let idxs = ref [] and roots = ref [] in
-        Array.iteri
-          (fun fi r ->
-            match r with
-            | Some (g, root) when g = gi ->
-              idxs := fi :: !idxs;
-              roots := root :: !roots
-            | Some _ | None -> ())
-          detect_roots;
-        let vals = Bdd.prob_many m (Array.of_list !roots) (fun v -> x_of_var.(v)) in
-        List.iteri (fun j fi -> out.(fi) <- vals.(j)) !idxs)
-      generations;
-    if Array.exists (fun r -> r = None) detect_roots then begin
-      let fb = Cop_eval.probs c faults x in
-      Array.iteri (fun fi r -> if r = None then out.(fi) <- fb.(fi)) detect_roots
-    end;
-    out
-  in
   let run_subset plan x =
     let subset = Oracle.subset plan in
     let x_of_var = x_of_var_table x in
@@ -428,7 +394,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     ~label:
       (Printf.sprintf "bdd-exact(%d/%d exact, %d generations, %d nodes)" n_exact nf
          (Array.length generations) !total_nodes)
-    ~c ~faults ~exact ~redundant ~run ~run_subset ~cofactor_pair:cofactor ()
+    ~c ~faults ~exact ~redundant ~run_subset ~cofactor_pair:cofactor ()
 
 (* --- Pattern-counting engines ---------------------------------------------
 
@@ -490,7 +456,6 @@ let make_stafan ~n_patterns ~seed c faults =
   Oracle.make ~kind:"stafan"
     ~label:(Printf.sprintf "stafan(%d patterns)" n_patterns)
     ~c ~faults ~exact:(no_flags faults) ~redundant:(no_flags faults)
-    ~run:(fun x -> Stafan.detection_probs c (count x) faults)
     ~run_subset:
       (fun plan x ->
         Stafan.detection_probs_subset c ~mask:(Oracle.obs_mask plan) (count x)
@@ -516,12 +481,11 @@ let make_mc ~jobs ~n_patterns ~seed c faults =
   Oracle.make ~kind:"mc"
     ~label:(Printf.sprintf "monte-carlo(%d patterns)" n_patterns)
     ~c ~faults ~exact:(no_flags faults) ~redundant:(no_flags faults)
-    ~run:(fun x -> Rt_sim.Detect_mc.detection_probs ~jobs c faults ~weights:x ~n_patterns ~seed)
     ~run_subset:
       (fun plan x ->
         (* Without dropping, each fault's detection counts depend only on
            the shared pattern stream, so simulating the selected faults
-           alone reproduces the full run's estimates exactly. *)
+           alone reproduces the all-faults estimates exactly. *)
         Rt_sim.Detect_mc.detection_probs ~jobs c (Oracle.selected plan) ~weights:x ~n_patterns
           ~seed)
     ~cofactor_pair:cofactor ()

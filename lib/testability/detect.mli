@@ -3,15 +3,16 @@
     The optimizer only needs a function [X -> p_f(X)] for the fault list;
     the paper uses PROTEST and remarks that "with slight modifications
     PREDICT or STAFAN will presumably work as well".  This module offers
-    four interchangeable oracles behind one interface:
+    five interchangeable oracles behind one interface:
 
-    - [Cop]: analytic activation x observability estimate (fast; the
-      default ANALYSIS engine, playing PROTEST's role);
+    - [Cop]: analytic activation x observability estimate (fast; playing
+      PROTEST's role);
     - [Conditioned]: COP Shannon-expanded over the worst reconvergence
       sources (PREDICT's role);
     - [Bdd_exact]: exact detection probabilities from per-fault boolean
       difference BDDs built once and re-evaluated per [X] in linear time;
       falls back to [Cop] for faults whose BDD exceeds the node limit;
+      the pipeline's default engine ([bdd] in [Rt_pipeline.Config]);
     - [Stafan]: counting-based estimate from fresh weighted simulation;
     - [Monte_carlo]: direct fault-simulation estimate.
 
@@ -19,7 +20,8 @@
     {!Oracle.t} protocol ([oracle] below is an alias), so the protocol's
     query surface — {!Oracle.plan}, {!Oracle.probs_plan},
     {!Oracle.cofactor_pair} — is available on any oracle built here.  Each
-    constructor registers the engine's fused cofactor implementation when
+    constructor registers one subset evaluation — {!probs} runs it on an
+    all-faults plan — and the engine's fused cofactor implementation when
     it has one (incremental damage-cone re-evaluation for COP and serial
     conditioned COP, a paired traversal for the exact BDDs, a recorded and
     replayed pattern base for STAFAN / Monte-Carlo). *)

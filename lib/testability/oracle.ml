@@ -37,10 +37,12 @@ type t = {
   label : string;
   exact : bool array;
   redundant : bool array;
-  run : float array -> float array;
   run_subset : plan -> float array -> float array;
   cofactor : (plan -> input:int -> float array -> float array * float array) option;
   mutable plans : plan list;  (* MRU-first keyed cache, bounded *)
+  mutable all : plan option;
+      (* the all-faults plan behind [probs]: built on first use, kept
+         outside the MRU cache so full queries never touch its counters *)
   cq_run : Rt_obs.counter;
   cq_subset : Rt_obs.counter;
   cq_cofactor : Rt_obs.counter;
@@ -54,17 +56,17 @@ let c_plan_miss = Rt_obs.counter "detect.plan.miss"
 let c_cof_incremental = Rt_obs.counter "oracle.cofactor.incremental"
 let c_cof_full = Rt_obs.counter "oracle.cofactor.full"
 
-let make ~kind ~label ~c ~faults ~exact ~redundant ~run ~run_subset ?cofactor_pair () =
+let make ~kind ~label ~c ~faults ~exact ~redundant ~run_subset ?cofactor_pair () =
   { c;
     fault_list = faults;
     kind;
     label;
     exact;
     redundant;
-    run;
     run_subset;
     cofactor = cofactor_pair;
     plans = [];
+    all = None;
     cq_run = Rt_obs.counter ("oracle.queries." ^ kind);
     cq_subset = Rt_obs.counter ("oracle.subset_queries." ^ kind);
     cq_cofactor = Rt_obs.counter ("oracle.cofactor_queries." ^ kind);
@@ -157,10 +159,22 @@ let check_width o x name =
   if Array.length x <> Array.length (Netlist.inputs o.c) then
     invalid_arg (name ^ ": weight vector width mismatch")
 
+(* A full query is a subset query over every fault; the subset contract
+   (equal to gathering from the full vector, bit for bit) makes the two
+   the same computation. *)
+let all_plan o =
+  match o.all with
+  | Some p -> p
+  | None ->
+    let p = make_plan o.c o.fault_list (Array.init (Array.length o.fault_list) Fun.id) in
+    o.all <- Some p;
+    p
+
 let probs o x =
   check_width o x "Oracle.probs";
   Rt_obs.incr o.cq_run;
-  Rt_obs.with_span_h ~cat:o.kind "analysis" o.h_run (fun () -> o.run x)
+  let p = all_plan o in
+  Rt_obs.with_span_h ~cat:o.kind "analysis" o.h_run (fun () -> o.run_subset p x)
 
 let probs_plan o p x =
   check_width o x "Oracle.probs_plan";

@@ -3,7 +3,8 @@
     An oracle is a record-of-closures answering detection-probability
     queries for a fixed circuit and fault list.  Three query shapes:
 
-    - {!probs}: the full vector [p_f(X)] (the paper's ANALYSIS);
+    - {!probs}: the full vector [p_f(X)] (the paper's ANALYSIS), served
+      as a subset query over every fault;
     - {!probs_subset} / {!probs_plan}: the same restricted to a fault
       subset's cones;
     - {!cofactor_pair}: both single-variable cofactors [p_f(X,0|i)] and
@@ -35,17 +36,19 @@ val make :
   faults:Rt_fault.Fault.t array ->
   exact:bool array ->
   redundant:bool array ->
-  run:(float array -> float array) ->
   run_subset:(plan -> float array -> float array) ->
   ?cofactor_pair:(plan -> input:int -> float array -> float array * float array) ->
   unit ->
   t
 (** Engine constructors call this.  [kind] names the engine family for
     counters and spans ("cop", "bdd", ...); [label] is the human
-    description.  [run_subset] receives a validated plan.  The optional
-    [cofactor_pair] is the engine's fused two-cofactor evaluation; it must
-    be bit-identical to evaluating [run_subset] twice at [x] with
-    coordinate [input] set to 0.0 and 1.0, and must not mutate [x]. *)
+    description.  [run_subset] receives a validated plan and is the
+    engine's only evaluation: {!probs} runs it on an all-faults plan, so
+    its result for any subset must equal gathering those entries from the
+    all-faults result bit for bit.  The optional [cofactor_pair] is the
+    engine's fused two-cofactor evaluation; it must be bit-identical to
+    evaluating [run_subset] twice at [x] with coordinate [input] set to
+    0.0 and 1.0, and must not mutate [x]. *)
 
 val plan : t -> int array -> plan
 (** [plan o subset] prepares (or retrieves) the cone masks for a fault
@@ -75,7 +78,11 @@ val sp_mask : plan -> bool array
     construction. *)
 
 val probs : t -> float array -> float array
-(** [probs o x] is [p_f(X)] for each fault, in fault-array order. *)
+(** [probs o x] is [p_f(X)] for each fault, in fault-array order: the
+    engine's subset query on an all-faults plan, built once per oracle on
+    first use and kept outside the {!plan} cache (so [detect.plan.*]
+    counts only subset planning).  Counted and timed as a full query
+    ([oracle.queries.<kind>], [oracle.latency_us.full.<kind>]). *)
 
 val probs_subset : t -> int array -> float array -> float array
 (** [probs_subset o subset x] is [probs_plan o (plan o subset) x]. *)

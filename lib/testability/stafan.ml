@@ -2,6 +2,8 @@ module Netlist = Rt_circuit.Netlist
 module Gate = Rt_circuit.Gate
 module Fault = Rt_fault.Fault
 module Pattern = Rt_sim.Pattern
+module Bits = Rt_util.Bits
+module BA1 = Bigarray.Array1
 
 type counts = {
   n_patterns : int;
@@ -9,26 +11,20 @@ type counts = {
   sens : int array array;
 }
 
-let popcount_64 w =
-  let open Int64 in
-  let x = sub w (logand (shift_right_logical w 1) 0x5555555555555555L) in
-  let x = add (logand x 0x3333333333333333L) (logand (shift_right_logical x 2) 0x3333333333333333L) in
-  let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
-  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
-
-(* Word of lanes where gate [g]'s output is sensitive to pin [k]. *)
-let sens_word c vals g k =
+(* Lanes of word [k] where gate [g]'s output is sensitive to pin [j]. *)
+let sens_word c v ~words g j k =
   let fi = Netlist.fanin c g in
+  let word f = BA1.unsafe_get v ((f * words) + k) in
   match Netlist.kind c g with
   | Gate.Input | Gate.Const0 | Gate.Const1 -> 0L
   | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> -1L
   | Gate.And | Gate.Nand ->
     let acc = ref (-1L) in
-    Array.iteri (fun j f -> if j <> k then acc := Int64.logand !acc vals.(f)) fi;
+    Array.iteri (fun i f -> if i <> j then acc := Int64.logand !acc (word f)) fi;
     !acc
   | Gate.Or | Gate.Nor ->
     let acc = ref (-1L) in
-    Array.iteri (fun j f -> if j <> k then acc := Int64.logand !acc (Int64.lognot vals.(f))) fi;
+    Array.iteri (fun i f -> if i <> j then acc := Int64.logand !acc (Int64.lognot (word f))) fi;
     !acc
 
 let count c ~source ~n_patterns =
@@ -40,25 +36,26 @@ let count c ~source ~n_patterns =
         | Gate.Input | Gate.Const0 | Gate.Const1 -> [||]
         | _ -> Array.make (Array.length (Netlist.fanin c g)) 0)
   in
-  let sim = Rt_sim.Logic_sim.create c in
+  let words = Pattern.default_block_words () in
+  let sim = Rt_sim.Logic_sim.create ~words c in
+  let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
   let remaining = ref n_patterns in
   while !remaining > 0 do
-    let batch = source () in
-    let batch =
-      if batch.Pattern.n_patterns <= !remaining then batch
-      else { batch with Pattern.n_patterns = !remaining }
-    in
-    let lanes = Pattern.lane_mask batch in
-    Rt_sim.Logic_sim.run sim batch;
-    let vals = Rt_sim.Logic_sim.values sim in
-    for g = 0 to n - 1 do
-      ones.(g) <- ones.(g) + popcount_64 (Int64.logand vals.(g) lanes);
-      let s = sens.(g) in
-      for k = 0 to Array.length s - 1 do
-        s.(k) <- s.(k) + popcount_64 (Int64.logand (sens_word c vals g k) lanes)
+    Pattern.fill_block source blk ~needed:!remaining;
+    Rt_sim.Logic_sim.run sim blk;
+    let v = Rt_sim.Logic_sim.values sim in
+    for k = 0 to blk.Pattern.filled - 1 do
+      let lanes = Pattern.word_mask blk.Pattern.counts.(k) in
+      for g = 0 to n - 1 do
+        let word = BA1.unsafe_get v ((g * words) + k) in
+        ones.(g) <- ones.(g) + Bits.popcount (Int64.logand word lanes);
+        let s = sens.(g) in
+        for j = 0 to Array.length s - 1 do
+          s.(j) <- s.(j) + Bits.popcount (Int64.logand (sens_word c v ~words g j k) lanes)
+        done
       done
     done;
-    remaining := !remaining - batch.Pattern.n_patterns
+    remaining := !remaining - blk.Pattern.total
   done;
   { n_patterns; ones; sens }
 
@@ -82,15 +79,6 @@ let observability_node c counts ~stem_rule ~total ~obs g =
     1.0 -. List.fold_left (fun acc o -> acc *. (1.0 -. o)) (1.0 -. base) !branch_obs
   | Observability.Maximum -> List.fold_left Float.max base !branch_obs
 
-let observability ?(stem_rule = Observability.Complement_product) c counts =
-  let n = Netlist.size c in
-  let total = Float.of_int counts.n_patterns in
-  let obs = Array.make n 0.0 in
-  for g = n - 1 downto 0 do
-    obs.(g) <- observability_node c counts ~stem_rule ~total ~obs g
-  done;
-  obs
-
 let observability_subset ?(stem_rule = Observability.Complement_product) c ~mask counts =
   let n = Netlist.size c in
   if Array.length mask <> n then invalid_arg "Stafan.observability_subset: mask size";
@@ -110,11 +98,6 @@ let fault_prob c counts ~total ~obs f =
   | Fault.Branch (g, k) ->
     let sens_p = Float.of_int counts.sens.(g).(k) /. total in
     act *. sens_p *. obs.(g)
-
-let detection_probs ?stem_rule c counts faults =
-  let obs = observability ?stem_rule c counts in
-  let total = Float.of_int counts.n_patterns in
-  Array.map (fault_prob c counts ~total ~obs) faults
 
 let detection_probs_subset ?stem_rule c ~mask counts faults =
   let obs = observability_subset ?stem_rule c ~mask counts in

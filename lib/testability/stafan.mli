@@ -15,14 +15,12 @@ type counts = {
 
 val count :
   Rt_circuit.Netlist.t -> source:Rt_sim.Pattern.source -> n_patterns:int -> counts
+(** Count over the first [n_patterns] patterns of [source], simulated in
+    {!Rt_sim.Pattern.block}s of the default width; the counts do not
+    depend on the width. *)
 
 val controllability : counts -> Rt_circuit.Netlist.node -> float
 (** Measured one-probability of a node. *)
-
-val observability :
-  ?stem_rule:Observability.stem_rule -> Rt_circuit.Netlist.t -> counts -> float array
-(** Backward observability sweep driven by the measured sensitization
-    ratios. *)
 
 val observability_subset :
   ?stem_rule:Observability.stem_rule ->
@@ -30,17 +28,10 @@ val observability_subset :
   mask:bool array ->
   counts ->
   float array
-(** {!observability} restricted to a fanout-closed node mask (readers of
-    masked nodes are masked); masked values equal the full sweep's. *)
-
-val detection_probs :
-  ?stem_rule:Observability.stem_rule ->
-  Rt_circuit.Netlist.t ->
-  counts ->
-  Rt_fault.Fault.t array ->
-  float array
-(** Per-fault detection probability estimate: activation x observability,
-    both from counts. *)
+(** Backward observability sweep driven by the measured sensitization
+    ratios, over a fanout-closed node mask (readers of masked nodes are
+    masked); unmasked entries stay 0.  An all-true mask is the full
+    sweep. *)
 
 val detection_probs_subset :
   ?stem_rule:Observability.stem_rule ->
@@ -49,6 +40,7 @@ val detection_probs_subset :
   counts ->
   Rt_fault.Fault.t array ->
   float array
-(** As {!detection_probs} for an already-gathered fault subset, with the
+(** Per-fault detection probability estimate for an already-gathered
+    fault subset: activation x observability, both from counts, with the
     observability sweep restricted to [mask] (the union of the subset's
     fanout cones). *)

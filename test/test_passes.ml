@@ -244,8 +244,16 @@ let test_c17_loads_and_is_fixpoint () =
 let test_opt_demo_shape () =
   let c = Bench_format.load (example "opt_demo.bench") in
   check Alcotest.int "raw size" 16 (Netlist.size c);
-  let c', remap, _ = Passes.run c in
+  let c', remap, stats = Passes.run c in
   check Alcotest.int "optimized size" 5 (Netlist.size c');
+  (* The per-pass report names every pass, one line each. *)
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Passes.pp_stats stats) in
+  List.iter
+    (fun name ->
+      let prefix = "pass " ^ name ^ " " in
+      check Alcotest.bool ("pp_stats line for " ^ name) true
+        (List.exists (String.starts_with ~prefix) lines))
+    Passes.names;
   check Alcotest.bool "semantics preserved" true (same_outputs c c');
   check Alcotest.bool "remap not identity" false (Passes.Remap.is_identity remap);
   let node name =

@@ -1,4 +1,4 @@
-(* Tests for Rt_sim: pattern batches/sources, the 64-way logic simulator,
+(* Tests for Rt_sim: pattern batches/sources, the block logic simulator,
    PPSFP fault simulation against the single-pattern reference, coverage
    accounting, and the response-difference stream used by signature
    analysis. *)
@@ -30,9 +30,11 @@ let test_of_vectors_roundtrip () =
       if v <> vectors.(i) then Alcotest.failf "pattern %d corrupted by packing" i)
     flat
 
-let test_lane_mask () =
-  let b = List.hd (Pattern.of_vectors (Array.init 5 (fun i -> bits_of_int 3 i))) in
-  check Alcotest.int64 "5 lanes" 0x1FL (Pattern.lane_mask b)
+let test_word_mask () =
+  check Alcotest.int64 "0 lanes" 0L (Pattern.word_mask 0);
+  check Alcotest.int64 "5 lanes" 0x1FL (Pattern.word_mask 5);
+  check Alcotest.int64 "63 lanes" Int64.max_int (Pattern.word_mask 63);
+  check Alcotest.int64 "64 lanes" (-1L) (Pattern.word_mask 64)
 
 let test_take_exact () =
   let rng = Rt_util.Rng.create 3 in
@@ -82,53 +84,41 @@ let test_block_resolve () =
 
 (* --- Logic_sim ------------------------------------------------------------------ *)
 
+(* Block simulation at W = 1 and W = 3 against [Netlist.eval], lane by
+   lane, with the last word only partly filled. *)
 let logic_sim_vs_eval_qcheck =
   QCheck.Test.make ~name:"word simulation equals scalar evaluation" ~count:30
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
+    QCheck.(pair (int_range 0 10_000) (int_range 1 63))
+    (fun (seed, tail) ->
       let c = Generators.random_circuit ~inputs:8 ~gates:50 ~seed in
-      let sim = Logic_sim.create c in
-      let vectors = Array.init 64 (fun i -> bits_of_int 8 ((i * 2654435761) land 255)) in
-      let batch = List.hd (Pattern.of_vectors vectors) in
-      Logic_sim.run sim batch;
-      let ok = ref true in
-      for lane = 0 to 63 do
-        let vals = Netlist.eval c vectors.(lane) in
-        for n = 0 to Netlist.size c - 1 do
-          let got = Int64.logand (Int64.shift_right_logical (Logic_sim.value sim n) lane) 1L <> 0L in
-          if got <> vals.(n) then ok := false
-        done
-      done;
-      !ok)
-
-let wide_sim_vs_narrow_qcheck =
-  QCheck.Test.make ~name:"wide simulation equals narrow word by word" ~count:20
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generators.random_circuit ~inputs:6 ~gates:40 ~seed in
-      let rng = Rt_util.Rng.create seed in
-      let src = Pattern.equiprobable rng ~n_inputs:6 in
-      let batches = Array.init 3 (fun _ -> src ()) in
-      let i = ref 0 in
-      let replay () =
-        let b = batches.(!i) in
-        incr i;
-        b
-      in
-      let blk = Pattern.make_block ~n_inputs:6 ~words:3 in
-      Pattern.fill_block replay blk ~needed:192;
-      let wide = Logic_sim.create_wide ~words:3 c in
-      Logic_sim.run_wide wide blk;
-      let narrow = Logic_sim.create c in
-      let ok = ref true in
-      for w = 0 to 2 do
-        Logic_sim.run narrow batches.(w);
-        for n = 0 to Netlist.size c - 1 do
-          if not (Int64.equal (Logic_sim.value narrow n) (Logic_sim.wide_value wide n w)) then
-            ok := false
-        done
-      done;
-      !ok)
+      List.for_all
+        (fun words ->
+          let n = (64 * (words - 1)) + tail in
+          let vectors = Array.init n (fun i -> bits_of_int 8 ((i * 2654435761) land 255)) in
+          let batches = ref (Pattern.of_vectors vectors) in
+          let source () =
+            match !batches with
+            | b :: rest ->
+              batches := rest;
+              b
+            | [] -> Alcotest.fail "source exhausted"
+          in
+          let blk = Pattern.make_block ~n_inputs:8 ~words in
+          Pattern.fill_block source blk ~needed:n;
+          let sim = Logic_sim.create ~words c in
+          Logic_sim.run sim blk;
+          let ok = ref (blk.Pattern.filled = words) in
+          Array.iteri
+            (fun p v ->
+              let vals = Netlist.eval c v in
+              for node = 0 to Netlist.size c - 1 do
+                let word = Logic_sim.value sim node (p / 64) in
+                let got = Int64.logand (Int64.shift_right_logical word (p mod 64)) 1L <> 0L in
+                if got <> vals.(node) then ok := false
+              done)
+            vectors;
+          !ok)
+        [ 1; 3 ])
 
 (* --- Fault_sim ------------------------------------------------------------------- *)
 
@@ -372,6 +362,32 @@ let test_responses_drop_matches_simulate () =
           Alcotest.failf "fault %d: missing detections in word" fi)
     resp_drop
 
+(* The shared block loop records the ppsfp counters for both entry
+   points: with dropping on, the two runs process the same blocks. *)
+let test_counters_match_across_entry_points () =
+  let c = Generators.c880ish () in
+  let faults = Rt_fault.Collapse.collapsed_universe c in
+  let n_inputs = Array.length (Netlist.inputs c) in
+  let counters =
+    List.map Rt_obs.counter [ "ppsfp.batches"; "ppsfp.patterns"; "ppsfp.faults_dropped" ]
+  in
+  let deltas run =
+    let before = List.map Rt_obs.value counters in
+    run (Pattern.equiprobable (Rt_util.Rng.create 31) ~n_inputs);
+    List.map2 (fun c b -> Rt_obs.value c - b) counters before
+  in
+  Rt_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Rt_obs.set_enabled false) @@ fun () ->
+  let plain =
+    deltas (fun source -> ignore (Fault_sim.simulate ~drop:true c faults ~source ~n_patterns:256))
+  in
+  let responses =
+    deltas (fun source ->
+        ignore (Fault_sim.simulate_with_responses ~drop:true c faults ~source ~n_patterns:256))
+  in
+  check Alcotest.bool "simulate counted batches" true (List.hd plain > 0);
+  check (Alcotest.list Alcotest.int) "batches, patterns, faults_dropped" plain responses
+
 (* --- Detect_mc --------------------------------------------------------------------- *)
 
 let test_mc_estimates () =
@@ -396,19 +412,21 @@ let () =
   Alcotest.run "rt_sim"
     [ ( "pattern",
         [ Alcotest.test_case "of_vectors roundtrip" `Quick test_of_vectors_roundtrip;
-          Alcotest.test_case "lane mask" `Quick test_lane_mask;
+          Alcotest.test_case "word mask" `Quick test_word_mask;
           Alcotest.test_case "take exact" `Quick test_take_exact;
           Alcotest.test_case "weighted statistics" `Quick test_weighted_statistics;
           Alcotest.test_case "fill_block truncation" `Quick test_fill_block_truncates;
           Alcotest.test_case "resolve_block_words policy" `Quick test_block_resolve ] );
-      ("logic-sim", [ q logic_sim_vs_eval_qcheck; q wide_sim_vs_narrow_qcheck ]);
+      ("logic-sim", [ q logic_sim_vs_eval_qcheck ]);
       ( "fault-sim",
         [ q ppsfp_vs_reference_qcheck;
           Alcotest.test_case "drop keeps first_detect" `Quick test_drop_consistency;
           Alcotest.test_case "coverage accounting" `Quick test_coverage_monotone;
           q responses_qcheck;
           Alcotest.test_case "responses drop matches simulate" `Quick
-            test_responses_drop_matches_simulate ] );
+            test_responses_drop_matches_simulate;
+          Alcotest.test_case "drop counters match across entry points" `Quick
+            test_counters_match_across_entry_points ] );
       ( "multicore",
         [ Alcotest.test_case "jobs=4 stats bit-identical" `Quick test_jobs_bit_identical;
           Alcotest.test_case "jobs=4 responses bit-identical" `Quick

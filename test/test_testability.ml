@@ -204,6 +204,72 @@ let test_stafan_close_to_exact_on_tree () =
         Alcotest.failf "fault %d: stafan %.3f vs exact %.3f" i p pb.(i))
     ps
 
+(* STAFAN's block counting against the definition, one explicit vector at
+   a time: [ones] counts the vectors where [Netlist.eval] gives 1, and
+   [sens.(g).(k)] the vectors where flipping pin [k] flips gate [g].  The
+   pattern count is not a multiple of 64 and spans more than one block
+   at any width. *)
+let stafan_count_qcheck =
+  QCheck.Test.make ~name:"stafan count equals scalar reference" ~count:6
+    QCheck.(pair (int_range 0 10_000) (int_range 1025 1200))
+    (fun (seed, n) ->
+      let n = if n mod 64 = 0 then n + 1 else n in
+      let c = Generators.random_circuit ~inputs:8 ~gates:40 ~seed in
+      let rng = Rt_util.Rng.create seed in
+      let vectors = Array.init n (fun _ -> Array.init 8 (fun _ -> Rt_util.Rng.bool rng)) in
+      let batches = ref (Rt_sim.Pattern.of_vectors vectors) in
+      let source () =
+        match !batches with
+        | b :: rest ->
+          batches := rest;
+          b
+        | [] -> Alcotest.fail "source exhausted"
+      in
+      let counts = Stafan.count c ~source ~n_patterns:n in
+      let size = Netlist.size c in
+      let ones = Array.make size 0 in
+      let sens =
+        Array.init size (fun g ->
+            match Netlist.kind c g with
+            | Rt_circuit.Gate.Input | Rt_circuit.Gate.Const0 | Rt_circuit.Gate.Const1 -> [||]
+            | _ -> Array.make (Array.length (Netlist.fanin c g)) 0)
+      in
+      Array.iter
+        (fun v ->
+          let vals = Netlist.eval c v in
+          for g = 0 to size - 1 do
+            if vals.(g) then ones.(g) <- ones.(g) + 1;
+            let args = Array.map (fun f -> vals.(f)) (Netlist.fanin c g) in
+            Array.iteri
+              (fun k _ ->
+                let flipped = Array.copy args in
+                flipped.(k) <- not args.(k);
+                let kind = Netlist.kind c g in
+                if Rt_circuit.Gate.eval kind args <> Rt_circuit.Gate.eval kind flipped then
+                  sens.(g).(k) <- sens.(g).(k) + 1)
+              sens.(g)
+          done)
+        vectors;
+      counts.Stafan.n_patterns = n && counts.Stafan.ones = ones && counts.Stafan.sens = sens)
+
+(* The COP oracle's full query (a subset query on the all-faults plan)
+   against the unrestricted sweeps it replaced, bit for bit. *)
+let cop_oracle_matches_full_sweep_qcheck =
+  QCheck.Test.make ~name:"cop oracle equals full independence + observability sweep" ~count:10
+    QCheck.(pair (int_range 0 10_000) (int_range 0 1_000))
+    (fun (seed, wseed) ->
+      let c = Generators.random_circuit ~inputs:7 ~gates:30 ~seed in
+      let faults = Rt_fault.Collapse.collapsed_universe c in
+      let rng = Rt_util.Rng.create wseed in
+      let x = Array.init 7 (fun _ -> 0.05 +. (0.9 *. Rt_util.Rng.float rng)) in
+      let sp = Signal_prob.independence c x in
+      let obs = Observability.cop c ~node_probs:sp in
+      let reference = Array.map (Rt_testability.Cop_eval.fault_prob c ~sp ~obs) faults in
+      let got = Detect.probs (Detect.make Detect.Cop c faults) x in
+      Array.length got = Array.length reference
+      && Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+           got reference)
+
 let subset_matches_gather_qcheck =
   (* The subset-aware PREPARE path must agree exactly with gathering from
      the full sweep on every engine: the cone-restricted sweeps compute the
@@ -456,6 +522,8 @@ let () =
           q cofactor_affinity_qcheck;
           Alcotest.test_case "keyed plan cache" `Quick test_plan_cache_keyed;
           Alcotest.test_case "stafan close on trees" `Quick test_stafan_close_to_exact_on_tree;
+          q stafan_count_qcheck;
+          q cop_oracle_matches_full_sweep_qcheck;
           Alcotest.test_case "proven redundant" `Quick test_proven_redundant ] );
       ( "test-length",
         [ Alcotest.test_case "single fault" `Quick test_required_single_fault;

@@ -1,8 +1,7 @@
-(* Unit and property tests for Rt_util: Rng, Bitvec, Prob, Stats, Int_heap,
+(* Unit and property tests for Rt_util: Rng, Prob, Stats, Int_heap,
    Bits, and the Parallel/Pool multicore layer. *)
 
 module Rng = Rt_util.Rng
-module Bitvec = Rt_util.Bitvec
 module Prob = Rt_util.Prob
 module Stats = Rt_util.Stats
 module Int_heap = Rt_util.Int_heap
@@ -97,54 +96,6 @@ let test_shuffle_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   check Alcotest.(array int) "shuffle is a permutation" (Array.init 50 Fun.id) sorted
-
-(* --- Bitvec ----------------------------------------------------------------- *)
-
-let test_bitvec_get_set () =
-  let v = Bitvec.create 130 in
-  Bitvec.set v 0 true;
-  Bitvec.set v 64 true;
-  Bitvec.set v 129 true;
-  check Alcotest.bool "bit 0" true (Bitvec.get v 0);
-  check Alcotest.bool "bit 1" false (Bitvec.get v 1);
-  check Alcotest.bool "bit 64" true (Bitvec.get v 64);
-  check Alcotest.bool "bit 129" true (Bitvec.get v 129);
-  check Alcotest.int "popcount" 3 (Bitvec.popcount v)
-
-let test_bitvec_bounds () =
-  let v = Bitvec.create 10 in
-  Alcotest.check_raises "get out of bounds" (Invalid_argument "Bitvec.get") (fun () ->
-      ignore (Bitvec.get v 10));
-  Alcotest.check_raises "set out of bounds" (Invalid_argument "Bitvec.set") (fun () ->
-      Bitvec.set v (-1) true)
-
-let bitvec_qcheck =
-  [ QCheck.Test.make ~name:"bitvec to/of_string roundtrip" ~count:200
-      QCheck.(list_of_size Gen.(1 -- 200) bool)
-      (fun bits ->
-        let s = String.concat "" (List.map (fun b -> if b then "1" else "0") bits) in
-        Bitvec.to_string (Bitvec.of_string s) = s);
-    QCheck.Test.make ~name:"bitvec popcount matches naive" ~count:200
-      QCheck.(list_of_size Gen.(1 -- 200) bool)
-      (fun bits ->
-        let v = Bitvec.create (List.length bits) in
-        List.iteri (fun i b -> Bitvec.set v i b) bits;
-        Bitvec.popcount v = List.length (List.filter Fun.id bits));
-    QCheck.Test.make ~name:"bitvec iter_ones visits exactly the ones" ~count:200
-      QCheck.(list_of_size Gen.(1 -- 200) bool)
-      (fun bits ->
-        let v = Bitvec.create (List.length bits) in
-        List.iteri (fun i b -> Bitvec.set v i b) bits;
-        let seen = ref [] in
-        Bitvec.iter_ones v (fun i -> seen := i :: !seen);
-        let expect = List.filteri (fun i _ -> List.nth bits i) (List.mapi (fun i _ -> i) bits) in
-        List.rev !seen = expect);
-    QCheck.Test.make ~name:"bitvec fill_random(1.0) sets exactly width bits" ~count:50
-      QCheck.(pair (int_range 1 150) (int_range 0 1000))
-      (fun (n, seed) ->
-        let v = Bitvec.create n in
-        Bitvec.fill_random (Rng.create seed) 1.0 v;
-        Bitvec.popcount v = n) ]
 
 (* --- Prob ------------------------------------------------------------------- *)
 
@@ -463,10 +414,6 @@ let () =
           Alcotest.test_case "biased word statistics" `Quick test_biased_word_statistics;
           Alcotest.test_case "biased word extremes" `Quick test_biased_word_extremes;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation ] );
-      ( "bitvec",
-        [ Alcotest.test_case "get/set/popcount" `Quick test_bitvec_get_set;
-          Alcotest.test_case "bounds checks" `Quick test_bitvec_bounds ] );
-      qsuite "bitvec-properties" bitvec_qcheck;
       ( "prob",
         [ Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "quantize" `Quick test_quantize;
