@@ -201,13 +201,13 @@ let test_bits_edge_cases () =
   check Alcotest.int64 "lowest_bit 0" 0L (Bits.lowest_bit 0L);
   check Alcotest.int64 "lowest_bit 12" 4L (Bits.lowest_bit 12L)
 
+let word =
+  QCheck.(
+    map
+      (fun (a, b) -> Int64.logxor (Int64.shift_left (Int64.of_int a) 32) (Int64.of_int b))
+      (pair int int))
+
 let bits_qcheck =
-  let word =
-    QCheck.(
-      map
-        (fun (a, b) -> Int64.logxor (Int64.shift_left (Int64.of_int a) 32) (Int64.of_int b))
-        (pair int int))
-  in
   [ QCheck.Test.make ~name:"popcount matches bit loop" ~count:500 word
       (fun w -> Bits.popcount w = popcount_ref w);
     QCheck.Test.make ~name:"ctz matches bit loop" ~count:500 word
@@ -216,6 +216,25 @@ let bits_qcheck =
       (fun w ->
         if Int64.equal w 0L then Bits.lowest_bit w = 0L
         else Bits.lowest_bit w = Int64.shift_left 1L (Bits.ctz w)) ]
+
+(* Word-level stand-ins for the deleted Bitvec's iter_ones and masked popcount. *)
+let bitops_qcheck =
+  [ QCheck.Test.make ~name:"ctz scan visits exactly the set lanes" ~count:500 word
+      (fun w ->
+        let rec scan w acc =
+          if Int64.equal w 0L then List.rev acc
+          else scan (Int64.logxor w (Bits.lowest_bit w)) (Bits.ctz w :: acc)
+        in
+        let expect =
+          List.filter
+            (fun i -> Int64.logand (Int64.shift_right_logical w i) 1L <> 0L)
+            (List.init 64 Fun.id)
+        in
+        scan w [] = expect);
+    QCheck.Test.make ~name:"popcount splits over a lane mask" ~count:500 (QCheck.pair word word)
+      (fun (w, m) ->
+        Bits.popcount w
+        = Bits.popcount (Int64.logand w m) + Bits.popcount (Int64.logand w (Int64.lognot m))) ]
 
 (* --- Parallel ------------------------------------------------------------------ *)
 
@@ -428,6 +447,7 @@ let () =
       ( "bits",
         Alcotest.test_case "edge cases" `Quick test_bits_edge_cases
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) bits_qcheck );
+      qsuite "bitops-properties" bitops_qcheck;
       ( "parallel",
         [ Alcotest.test_case "chunk bounds" `Quick test_parallel_chunk_bounds;
           Alcotest.test_case "covers every index once" `Quick test_parallel_covers_once;
