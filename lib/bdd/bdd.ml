@@ -1,6 +1,21 @@
 (* Node store: node 0 = terminal FALSE, node 1 = terminal TRUE.  Internal
    node i >= 2 has (var, low, high) with low <> high and both children over
-   strictly larger variables. *)
+   strictly larger variables.
+
+   The unique table is an open-addressed [int array] of node ids (0 marks
+   an empty slot) probed linearly from a mix hash of (var, low, high) and
+   compared against the node arrays, so a lookup allocates nothing.  It
+   keeps its load at or below one half and doubles by rehashing the node
+   arrays.
+
+   The computed cache is direct-mapped and lossy: [cache_ints] ints per
+   slot, (op, f, g, result), with op = -1 marking an empty slot; a new
+   entry overwrites whatever shared its slot.  Its slot count is a fixed
+   fraction of the unique table's, so it grows with the node count.
+   Because nodes are never freed, a miss only recomputes a result whose
+   nodes all exist already, so [mk] finds every one of them: node ids,
+   their creation order, the point where [Limit_exceeded] fires and every
+   result are the same as with an unbounded cache. *)
 
 type t = int
 
@@ -13,15 +28,27 @@ type manager = {
   mutable lows : int array;
   mutable highs : int array;
   mutable n : int;
-  unique : (int * int * int, int) Hashtbl.t;
-  apply_cache : (int * int * int, int) Hashtbl.t;
-  (* op codes for the cache: 0=and 1=or 2=xor 3=not (b ignored) 4=ite-part *)
+  mutable unique : int array;
+  mutable cache : int array;
+  (* op codes for the cache: 0=and 1=or 2=xor 3=not (g = 0)
+     4/5 + (i lsl 3) = restrict on variable i to false/true (g = i) *)
 }
 
 let terminal_var = max_int
+let cache_ints = 4
+
+(* Unique-table slots per computed-cache slot. *)
+let cache_ratio = 8
+
+let[@inline] hash3 a b c =
+  let h = (a * 0x9E3779B1) + (b * 0x85EBCA77) + (c * 0xC2B2AE3D) in
+  let h = (h lxor (h lsr 29)) * 0x27D4EB2F165667C5 in
+  h lxor (h lsr 32)
+
+let empty_cache unique_slots = Array.make (cache_ints * (unique_slots / cache_ratio)) (-1)
 
 let manager ?(node_limit = 2_000_000) ~nvars () =
-  let cap = 1024 in
+  let cap = 1024 and slots = 4096 in
   let m =
     { nvars;
       node_limit;
@@ -29,8 +56,8 @@ let manager ?(node_limit = 2_000_000) ~nvars () =
       lows = Array.make cap 0;
       highs = Array.make cap 0;
       n = 2;
-      unique = Hashtbl.create 4096;
-      apply_cache = Hashtbl.create 4096 }
+      unique = Array.make slots 0;
+      cache = empty_cache slots }
   in
   m.vars.(0) <- terminal_var;
   m.vars.(1) <- terminal_var;
@@ -46,12 +73,55 @@ let equal (a : t) (b : t) = a = b
 
 let var_of m x = m.vars.(x)
 
+(* --- computed cache ------------------------------------------------------------ *)
+
+let[@inline] cache_slot m op f g =
+  cache_ints * (hash3 op f g land ((Array.length m.cache / cache_ints) - 1))
+
+(* The cached result of (op, f, g), or -1. *)
+let cache_find m op f g =
+  let c = m.cache in
+  let i = cache_slot m op f g in
+  if c.(i) = op && c.(i + 1) = f && c.(i + 2) = g then c.(i + 3) else -1
+
+let cache_add m op f g r =
+  let c = m.cache in
+  let i = cache_slot m op f g in
+  c.(i) <- op;
+  c.(i + 1) <- f;
+  c.(i + 2) <- g;
+  c.(i + 3) <- r
+
+(* --- unique table ---------------------------------------------------------------- *)
+
+let rec probe_unique m u mask v low high i =
+  let id = u.(i) in
+  if id = 0 || (m.vars.(id) = v && m.lows.(id) = low && m.highs.(id) = high) then i
+  else probe_unique m u mask v low high ((i + 1) land mask)
+
+(* The slot holding node (v, low, high), or the empty slot where it
+   belongs. *)
+let find_slot m v low high =
+  let u = m.unique in
+  let mask = Array.length u - 1 in
+  probe_unique m u mask v low high (hash3 v low high land mask)
+
+(* Double the unique table, and replace the computed cache by an empty
+   one of the matching size (it is lossy, so dropping it is safe). *)
+let grow_tables m =
+  m.unique <- Array.make (2 * Array.length m.unique) 0;
+  for id = 2 to m.n - 1 do
+    m.unique.(find_slot m m.vars.(id) m.lows.(id) m.highs.(id)) <- id
+  done;
+  m.cache <- empty_cache (Array.length m.unique)
+
 let mk m v low high =
   if low = high then low
   else begin
-    match Hashtbl.find_opt m.unique (v, low, high) with
-    | Some id -> id
-    | None ->
+    let slot = find_slot m v low high in
+    let found = m.unique.(slot) in
+    if found <> 0 then found
+    else begin
       if m.n >= m.node_limit then raise Limit_exceeded;
       if m.n >= Array.length m.vars then begin
         let cap = 2 * Array.length m.vars in
@@ -65,8 +135,10 @@ let mk m v low high =
       m.vars.(id) <- v;
       m.lows.(id) <- low;
       m.highs.(id) <- high;
-      Hashtbl.add m.unique (v, low, high) id;
+      m.unique.(slot) <- id;
+      if 2 * (m.n - 2) > Array.length m.unique then grow_tables m;
       id
+    end
   end
 
 let var m i =
@@ -77,56 +149,56 @@ let rec not_ m x =
   if x = 0 then 1
   else if x = 1 then 0
   else begin
-    let key = (3, x, 0) in
-    match Hashtbl.find_opt m.apply_cache key with
-    | Some r -> r
-    | None ->
+    let r = cache_find m 3 x 0 in
+    if r >= 0 then r
+    else begin
       let r = mk m m.vars.(x) (not_ m m.lows.(x)) (not_ m m.highs.(x)) in
-      Hashtbl.add m.apply_cache key r;
+      cache_add m 3 x 0 r;
       r
+    end
   end
 
 let rec apply m op f g =
-  (* Terminal rules per op. *)
-  let terminal () =
+  (* Terminal rules per op; -1 when none applies. *)
+  let terminal =
     match op with
     | 0 (* and *) ->
-      if f = 0 || g = 0 then Some 0
-      else if f = 1 then Some g
-      else if g = 1 then Some f
-      else if f = g then Some f
-      else None
+      if f = 0 || g = 0 then 0
+      else if f = 1 then g
+      else if g = 1 then f
+      else if f = g then f
+      else -1
     | 1 (* or *) ->
-      if f = 1 || g = 1 then Some 1
-      else if f = 0 then Some g
-      else if g = 0 then Some f
-      else if f = g then Some f
-      else None
+      if f = 1 || g = 1 then 1
+      else if f = 0 then g
+      else if g = 0 then f
+      else if f = g then f
+      else -1
     | 2 (* xor *) ->
-      if f = g then Some 0
-      else if f = 0 then Some g
-      else if g = 0 then Some f
-      else if f = 1 then Some (not_ m g)
-      else if g = 1 then Some (not_ m f)
-      else None
+      if f = g then 0
+      else if f = 0 then g
+      else if g = 0 then f
+      else if f = 1 then not_ m g
+      else if g = 1 then not_ m f
+      else -1
     | _ -> invalid_arg "Bdd.apply: bad op"
   in
-  match terminal () with
-  | Some r -> r
-  | None ->
+  if terminal >= 0 then terminal
+  else begin
     (* Commutative ops: normalise operand order for cache hits. *)
-    let f, g = if f <= g then (f, g) else (g, f) in
-    let key = (op, f, g) in
-    (match Hashtbl.find_opt m.apply_cache key with
-     | Some r -> r
-     | None ->
-       let vf = var_of m f and vg = var_of m g in
-       let v = min vf vg in
-       let f0, f1 = if vf = v then (m.lows.(f), m.highs.(f)) else (f, f) in
-       let g0, g1 = if vg = v then (m.lows.(g), m.highs.(g)) else (g, g) in
-       let r = mk m v (apply m op f0 g0) (apply m op f1 g1) in
-       Hashtbl.add m.apply_cache key r;
-       r)
+    let f = if f <= g then f else g and g = if f <= g then g else f in
+    let r = cache_find m op f g in
+    if r >= 0 then r
+    else begin
+      let vf = var_of m f and vg = var_of m g in
+      let v = if vf <= vg then vf else vg in
+      let f0 = if vf = v then m.lows.(f) else f and f1 = if vf = v then m.highs.(f) else f in
+      let g0 = if vg = v then m.lows.(g) else g and g1 = if vg = v then m.highs.(g) else g in
+      let r = mk m v (apply m op f0 g0) (apply m op f1 g1) in
+      cache_add m op f g r;
+      r
+    end
+  end
 
 let and_ m f g = apply m 0 f g
 let or_ m f g = apply m 1 f g
@@ -158,65 +230,110 @@ let rec restrict m x i v =
     if vx > i then x
     else if vx = i then restrict m (if v then m.highs.(x) else m.lows.(x)) i v
     else begin
-      let key = ((if v then 5 else 4) + (i lsl 3), x, i) in
-      match Hashtbl.find_opt m.apply_cache key with
-      | Some r -> r
-      | None ->
+      let op = (if v then 5 else 4) + (i lsl 3) in
+      let r = cache_find m op x i in
+      if r >= 0 then r
+      else begin
         let r = mk m vx (restrict m m.lows.(x) i v) (restrict m m.highs.(x) i v) in
-        Hashtbl.add m.apply_cache key r;
+        cache_add m op x i r;
         r
+      end
     end
   end
 
+(* --- traversals ----------------------------------------------------------------- *)
+
+(* A per-traversal memo from internal node id to one float, or two when
+   made with [~pair:true]: open addressing on an int key array (0 marks an
+   empty slot), load at most one half. *)
+module Memo = struct
+  type t = {
+    mutable keys : int array;
+    mutable a : float array;
+    mutable b : float array;  (* [||] unless pair *)
+    mutable count : int;
+  }
+
+  let create ?(pair = false) slots =
+    { keys = Array.make slots 0;
+      a = Array.make slots 0.0;
+      b = (if pair then Array.make slots 0.0 else [||]);
+      count = 0 }
+
+  let rec probe keys mask x i =
+    let k = keys.(i) in
+    if k = x || k = 0 then i else probe keys mask x ((i + 1) land mask)
+
+  (* The slot holding [x], or the empty slot where it belongs. *)
+  let find t x =
+    let mask = Array.length t.keys - 1 in
+    probe t.keys mask x (hash3 x 0 0 land mask)
+
+  let mem t x = t.keys.(find t x) = x
+
+  let grow t =
+    let pair = Array.length t.b > 0 in
+    let t' = create ~pair (2 * Array.length t.keys) in
+    Array.iteri
+      (fun i k ->
+        if k <> 0 then begin
+          let j = find t' k in
+          t'.keys.(j) <- k;
+          t'.a.(j) <- t.a.(i);
+          if pair then t'.b.(j) <- t.b.(i)
+        end)
+      t.keys;
+    t.keys <- t'.keys;
+    t.a <- t'.a;
+    t.b <- t'.b
+
+  (* Record [x -> v] ([x] must be absent) and return its slot, for a
+     pair memo's second component. *)
+  let add t x v =
+    if 2 * (t.count + 1) > Array.length t.keys then grow t;
+    let i = find t x in
+    t.keys.(i) <- x;
+    t.a.(i) <- v;
+    t.count <- t.count + 1;
+    i
+end
+
 let size m x =
-  let seen = Hashtbl.create 64 in
+  let seen = Memo.create 64 in
   let rec visit x =
-    if x >= 2 && not (Hashtbl.mem seen x) then begin
-      Hashtbl.add seen x ();
+    if x >= 2 && not (Memo.mem seen x) then begin
+      ignore (Memo.add seen x 0.0);
       visit m.lows.(x);
       visit m.highs.(x)
     end
   in
   visit x;
-  Hashtbl.length seen
+  seen.Memo.count
 
 let eval m x assign =
   let rec go x = if x < 2 then x = 1 else go (if assign m.vars.(x) then m.highs.(x) else m.lows.(x)) in
   go x
 
-let prob m x p =
-  let memo = Hashtbl.create 256 in
-  let rec go x =
-    if x = 0 then 0.0
-    else if x = 1 then 1.0
+(* The probability of [x] under [p], memoised in [memo]. *)
+let rec scalar m memo p x =
+  if x = 0 then 0.0
+  else if x = 1 then 1.0
+  else begin
+    let i = Memo.find memo x in
+    if memo.Memo.keys.(i) = x then memo.Memo.a.(i)
     else begin
-      match Hashtbl.find_opt memo x with
-      | Some r -> r
-      | None ->
-        let pv = p m.vars.(x) in
-        let r = ((1.0 -. pv) *. go m.lows.(x)) +. (pv *. go m.highs.(x)) in
-        Hashtbl.add memo x r;
-        r
+      let pv = p m.vars.(x) in
+      let r = ((1.0 -. pv) *. scalar m memo p m.lows.(x)) +. (pv *. scalar m memo p m.highs.(x)) in
+      ignore (Memo.add memo x r);
+      r
     end
-  in
-  go x
+  end
 
 let prob_many m roots p =
-  let memo = Hashtbl.create 1024 in
-  let rec go x =
-    if x = 0 then 0.0
-    else if x = 1 then 1.0
-    else begin
-      match Hashtbl.find_opt memo x with
-      | Some r -> r
-      | None ->
-        let pv = p m.vars.(x) in
-        let r = ((1.0 -. pv) *. go m.lows.(x)) +. (pv *. go m.highs.(x)) in
-        Hashtbl.add memo x r;
-        r
-    end
-  in
-  Array.map go roots
+  let memo = Memo.create 1024 in
+  Array.map (scalar m memo p) roots
+
+let prob m x p = scalar m (Memo.create 256) p x
 
 (* Both single-variable cofactor probabilities of every root in one
    traversal.  A node ordered strictly below [var] cannot depend on it and
@@ -229,21 +346,9 @@ let prob_many m roots p =
    here is finite and non-negative (so the dropped product is +0.0 and
    the kept one is preserved by the multiplication by 1.0). *)
 let prob_pair_many m roots ~var p =
-  let scalar_memo = Hashtbl.create 1024 in
-  let rec scalar x =
-    if x = 0 then 0.0
-    else if x = 1 then 1.0
-    else begin
-      match Hashtbl.find_opt scalar_memo x with
-      | Some r -> r
-      | None ->
-        let pv = p m.vars.(x) in
-        let r = ((1.0 -. pv) *. scalar m.lows.(x)) +. (pv *. scalar m.highs.(x)) in
-        Hashtbl.add scalar_memo x r;
-        r
-    end
-  in
-  let pair_memo = Hashtbl.create 1024 in
+  let scalar_memo = Memo.create 1024 in
+  let scalar = scalar m scalar_memo p in
+  let pair_memo = Memo.create ~pair:true 1024 in
   let rec pair x =
     if x = 0 then (0.0, 0.0)
     else if x = 1 then (1.0, 1.0)
@@ -254,10 +359,10 @@ let prob_pair_many m roots ~var p =
         (r, r)
       end
       else begin
-        match Hashtbl.find_opt pair_memo x with
-        | Some r -> r
-        | None ->
-          let r =
+        let i = Memo.find pair_memo x in
+        if pair_memo.Memo.keys.(i) = x then (pair_memo.Memo.a.(i), pair_memo.Memo.b.(i))
+        else begin
+          let ((r0, r1) as r) =
             if v = var then (scalar m.lows.(x), scalar m.highs.(x))
             else begin
               let l0, l1 = pair m.lows.(x) in
@@ -266,8 +371,9 @@ let prob_pair_many m roots ~var p =
               (((1.0 -. pv) *. l0) +. (pv *. h0), ((1.0 -. pv) *. l1) +. (pv *. h1))
             end
           in
-          Hashtbl.add pair_memo x r;
+          pair_memo.Memo.b.(Memo.add pair_memo x r0) <- r1;
           r
+        end
       end
     end
   in

@@ -7,7 +7,14 @@
     ANALYSIS backend for small circuits.
 
     Nodes are indices into a manager-owned store; every function below is
-    meaningful only for values created by the same manager. *)
+    meaningful only for values created by the same manager.  Nodes are
+    never freed.  The unique table is open-addressed over node ids and
+    allocates nothing per lookup.  The computed cache shared by the
+    boolean operations, {!not_} and {!restrict} is bounded and lossy: a
+    fixed number of direct-mapped slots, growing with the node count, where
+    a new entry overwrites an old one.  A miss only recomputes a result
+    whose nodes already exist, so node ids, their creation order and every
+    result are independent of the cache's size and contents. *)
 
 type manager
 type t
@@ -19,7 +26,11 @@ exception Limit_exceeded
 
 val manager : ?node_limit:int -> nvars:int -> unit -> manager
 (** [manager ~nvars ()] supports variables [0 .. nvars-1] with the natural
-    order.  [node_limit] (default 2_000_000) bounds the unique table. *)
+    order.  [node_limit] (default 2_000_000) bounds the number of nodes:
+    {!Limit_exceeded} is raised when a new node would reach it, at the same
+    point whatever the computed cache held.  The unique table and the
+    computed cache size themselves from the node count; there is no
+    separate cache bound. *)
 
 val node_count : manager -> int
 (** Nodes currently allocated (excludes terminals). *)

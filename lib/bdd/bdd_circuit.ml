@@ -33,11 +33,12 @@ let dfs_order c =
     order;
   order
 
-let prob_of_inputs ~order x v =
-  (* order maps input position -> variable; invert lazily (arrays are small). *)
-  let n = Array.length order in
-  let rec find i = if i >= n then invalid_arg "Bdd_circuit.prob_of_inputs" else if order.(i) = v then x.(i) else find (i + 1) in
-  find 0
+(* [order] maps input position -> variable: invert it once into a
+   variable -> probability table, so each lookup is one array read. *)
+let prob_of_inputs ~order x =
+  let x_of_var = Array.make (Array.length order) 0.5 in
+  Array.iteri (fun i v -> x_of_var.(v) <- x.(i)) order;
+  fun v -> x_of_var.(v)
 
 let build_into m ~order ?inject c =
   let n = Netlist.size c in
@@ -78,10 +79,7 @@ let build ?(node_limit = 500_000) ?order ?inject c =
 let signal_probs ?node_limit c x =
   match build ?node_limit c with
   | None -> None
-  | Some (m, bdds, order) ->
-    let x_of_var = Array.make (Array.length order) 0.5 in
-    Array.iteri (fun i v -> x_of_var.(v) <- x.(i)) order;
-    Some (Bdd.prob_many m bdds (fun v -> x_of_var.(v)))
+  | Some (m, bdds, order) -> Some (Bdd.prob_many m bdds (prob_of_inputs ~order x))
 
 let detection_function ?(node_limit = 500_000) c inject =
   let order = dfs_order c in
@@ -100,7 +98,4 @@ let detection_function ?(node_limit = 500_000) c inject =
 let detection_prob ?node_limit c inject x =
   match detection_function ?node_limit c inject with
   | None -> None
-  | Some (m, detect, order) ->
-    let x_of_var = Array.make (Array.length order) 0.5 in
-    Array.iteri (fun i v -> x_of_var.(v) <- x.(i)) order;
-    Some (Bdd.prob m detect (fun v -> x_of_var.(v)))
+  | Some (m, detect, order) -> Some (Bdd.prob m detect (prob_of_inputs ~order x))

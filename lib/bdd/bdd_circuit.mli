@@ -34,7 +34,8 @@ val build :
 val prob_of_inputs : order:int array -> float array -> int -> float
 (** [prob_of_inputs ~order x v] is the probability of BDD variable [v]
     given per-input probabilities [x] — the argument to {!Bdd.prob} and
-    {!Bdd.prob_many}. *)
+    {!Bdd.prob_many}.  Applied to [~order] and [x] alone it inverts [order]
+    once, so each lookup of the returned function is one array read. *)
 
 val signal_probs : ?node_limit:int -> Rt_circuit.Netlist.t -> float array -> float array option
 (** Exact signal probability of every node when input [i] is true with

@@ -289,7 +289,7 @@ let optimized ?progress ?recorder t =
 
 (* Fault-simulate [weights] with the config's seed/patterns/jobs; shared by
    the [validated] stage (optimized weights) and the [simulated] variant
-   (the analysis weights, i.e. `optprob simulate`). *)
+   (the configured weights, i.e. `optprob simulate`). *)
 let fault_simulate t weights =
   let c = circuit t and fs = fault_list t in
   let rng = Rt_util.Rng.create t.config.Config.seed in
@@ -311,11 +311,11 @@ let fault_simulate t weights =
     v_seed = t.config.Config.seed;
     coverage = (if total = 0 then 1.0 else Float.of_int hit /. Float.of_int total) }
 
-let sim_parts t ~at upstream_digest =
-  [ at;
-    Printf.sprintf "seed=%d" t.config.Config.seed;
-    Printf.sprintf "patterns=%d" t.config.Config.patterns;
-    upstream_digest ]
+let sim_parts t ~at upstream =
+  at
+  :: Printf.sprintf "seed=%d" t.config.Config.seed
+  :: Printf.sprintf "patterns=%d" t.config.Config.patterns
+  :: upstream
 
 let validated t =
   let o = optimized t in
@@ -323,17 +323,21 @@ let validated t =
     (fun t -> t.s_validated)
     (fun t s -> t.s_validated <- Some s)
     t ~stage:"validated"
-    ~parts:(sim_parts t ~at:"at-optimized" o.digest)
+    ~parts:(sim_parts t ~at:"at-optimized" [ o.digest ])
     (fun () -> fault_simulate t (opt_weights o.value))
 
+(* Keyed on the configured weights and the netlist and faults, never on
+   the analysis: `optprob simulate` builds no oracle, and the engine is no
+   part of the key. *)
 let simulated t =
-  let a = analysis t in
+  let op = opt_netlist t in
+  let f = faults t in
   memo
     (fun t -> t.s_simulated)
     (fun t s -> t.s_simulated <- Some s)
     t ~stage:"validated"
-    ~parts:(sim_parts t ~at:"at-analysis" a.digest)
-    (fun () -> fault_simulate t a.value.a_weights)
+    ~parts:(sim_parts t ~at:"at-weights" [ Config.weights_key t.config; op.digest; f.digest ])
+    (fun () -> fault_simulate t (Config.resolve_weights t.config op.value.on_netlist))
 
 let sim_stats t (v : validated) =
   { Rt_sim.Fault_sim.faults = fault_list t;

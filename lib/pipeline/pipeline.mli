@@ -128,8 +128,12 @@ val validated : t -> validated staged
 (** Fault simulation at the {e optimized} weights. *)
 
 val simulated : t -> validated staged
-(** The same stage keyed at the {e analysis} weights (the [simulate]
-    subcommand's workload). *)
+(** The same stage at the configured weights ({!Config.resolve_weights} on
+    the optimized netlist), the [simulate] subcommand's workload.  It
+    depends on the netlist, the faults and those weights only: it builds no
+    oracle and runs no analysis, and its key has no engine part, so a
+    [simulate] under one engine is a cache hit for the same [simulate]
+    under another. *)
 
 val report : t -> report staged
 

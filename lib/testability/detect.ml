@@ -309,11 +309,6 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
         total_nodes := !total_nodes + Bdd.node_count m);
   let generations = Array.of_list (List.rev !generations_rev) in
   Rt_obs.add c_bdd_nodes !total_nodes;
-  let x_of_var_table x =
-    let t = Array.make (max 1 (Array.length order)) 0.5 in
-    Array.iteri (fun i v -> t.(v) <- x.(i)) order;
-    t
-  in
   (* Selected detection roots of one generation, as (position-in-subset,
      root) lists — a generation none of the selected faults landed in is
      not traversed at all. *)
@@ -331,14 +326,14 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
   in
   let run_subset plan x =
     let subset = Oracle.subset plan in
-    let x_of_var = x_of_var_table x in
+    let prob_var = Bdd_circuit.prob_of_inputs ~order x in
     let out = Array.make (Array.length subset) 0.0 in
     Array.iteri
       (fun gi (m, _) ->
         match gen_roots subset gi with
         | _, [] -> ()
         | idxs, roots ->
-          let vals = Bdd.prob_many m (Array.of_list roots) (fun v -> x_of_var.(v)) in
+          let vals = Bdd.prob_many m (Array.of_list roots) prob_var in
           List.iteri (fun p j -> out.(j) <- vals.(p)) idxs)
       generations;
     if Array.exists (fun fi -> detect_roots.(fi) = None) subset then begin
@@ -354,7 +349,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
      two masked COP sweeps the generic path would run. *)
   let cofactor plan ~input x =
     let subset = Oracle.subset plan in
-    let x_of_var = x_of_var_table x in
+    let prob_var = Bdd_circuit.prob_of_inputs ~order x in
     let fvar = order.(input) in
     let ns = Array.length subset in
     let out0 = Array.make ns 0.0 and out1 = Array.make ns 0.0 in
@@ -364,7 +359,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
         | _, [] -> ()
         | idxs, roots ->
           let pairs =
-            Bdd.prob_pair_many m (Array.of_list roots) ~var:fvar (fun v -> x_of_var.(v))
+            Bdd.prob_pair_many m (Array.of_list roots) ~var:fvar prob_var
           in
           List.iteri
             (fun p j ->

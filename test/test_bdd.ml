@@ -179,6 +179,83 @@ let test_detection_function_redundant () =
       | Some (_, detect, _) ->
         check Alcotest.bool "s-a-0 on constant-0 node is redundant" true (Bdd.is_zero detect)))
 
+(* --- node identity ---------------------------------------------------------
+
+   The computed cache is lossy, but nodes are never freed: a miss only
+   recomputes a result whose nodes exist already.  So rebuilding a circuit
+   in the same manager must return the very same roots without allocating,
+   and the exact engine's node counts, generations and probabilities are
+   pinned to the values of the unbounded-cache package it replaced. *)
+
+let rebuild_allocates_nothing_qcheck =
+  QCheck.Test.make ~name:"rebuild: same roots, no new node" ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let nvars = 16 in
+      let c = Generators.random_circuit ~inputs:nvars ~gates:300 ~seed in
+      let order = Bdd_circuit.dfs_order c in
+      let m = Bdd.manager ~nvars () in
+      (* Every node, then both cofactors of every output on every variable,
+         each cofactor pair checked against the Shannon expansion. *)
+      let build () =
+        let bdds = Array.make (Netlist.size c) (Bdd.zero m) in
+        for i = 0 to Netlist.size c - 1 do
+          bdds.(i) <-
+            (match Netlist.kind c i with
+             | Rt_circuit.Gate.Input -> Bdd.var m order.(Netlist.input_index c i)
+             | k -> Bdd.apply_kind m k (Array.map (fun j -> bdds.(j)) (Netlist.fanin c i)))
+        done;
+        let cofactors =
+          List.concat_map
+            (fun v ->
+              List.concat_map
+                (fun o ->
+                  let f = bdds.(o) in
+                  let lo = Bdd.restrict m f v false and hi = Bdd.restrict m f v true in
+                  if not (Bdd.equal (Bdd.ite m (Bdd.var m v) hi lo) f) then
+                    QCheck.Test.fail_reportf "Shannon expansion fails on var %d" v;
+                  [ lo; hi ])
+                (Array.to_list (Netlist.outputs c)))
+            (List.init nvars Fun.id)
+        in
+        Array.append bdds (Array.of_list cofactors)
+      in
+      let first = build () in
+      let nodes = Bdd.node_count m in
+      let second = build () in
+      Array.for_all2 Bdd.equal first second && Bdd.node_count m = nodes)
+
+let digest_floats a =
+  Digest.to_hex (Digest.string (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a))))
+
+(* [Detect.describe], then the MD5s of [Detect.probs] at X = 0.5 and of
+   both cofactor vectors at the middle input, over all faults. *)
+let exact_engine_fingerprint ~node_limit c =
+  let module Detect = Rt_testability.Detect in
+  let module Oracle = Rt_testability.Oracle in
+  let faults = Rt_fault.Collapse.collapsed_universe c in
+  let o = Detect.make ~jobs:1 (Detect.Bdd_exact { node_limit }) c faults in
+  let ni = Array.length (Netlist.inputs c) in
+  let x = Array.make ni 0.5 in
+  let plan = Oracle.plan o (Array.init (Array.length faults) Fun.id) in
+  let c0, c1 = Oracle.cofactor_pair o plan ~input:(ni / 2) ~x in
+  String.concat " "
+    [ Detect.describe o; digest_floats (Detect.probs o x); digest_floats c0; digest_floats c1 ]
+
+let test_golden_s1 () =
+  check Alcotest.string "s1, bdd engine default node limit"
+    "bdd-exact(534/534 exact, 1 generations, 93034 nodes) aacefade88093fb46e987f8e6e032db3 \
+     3332016e4370edce1c708ec632e09a02 14189722abe13aa9ed4ca5991a8599e2"
+    (exact_engine_fingerprint ~node_limit:1_000_000 (Generators.s1_comparator ()))
+
+let test_golden_overflow () =
+  (* A node limit small enough that generations overflow and regenerate,
+     and that most faults fall back to COP. *)
+  check Alcotest.string "c432ish, 10000-node limit"
+    "bdd-exact(65/255 exact, 4 generations, 39992 nodes) 8a104bd95e7a4054cd42d48d97ec4013 \
+     b0a31b766f57e94653bc70f0ecc865de f7ecf63561414aa9060db35ac7894c24"
+    (exact_engine_fingerprint ~node_limit:10_000 (Generators.c432ish ()))
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in
   Alcotest.run "rt_bdd"
@@ -196,4 +273,8 @@ let () =
           q detection_prob_vs_bruteforce_qcheck;
           Alcotest.test_case "dfs order tames comparator" `Quick test_dfs_order_comparator;
           Alcotest.test_case "redundant fault detection function" `Quick
-            test_detection_function_redundant ] ) ]
+            test_detection_function_redundant ] );
+      ( "golden",
+        [ q rebuild_allocates_nothing_qcheck;
+          Alcotest.test_case "exact engine on s1" `Quick test_golden_s1;
+          Alcotest.test_case "exact engine through overflow" `Quick test_golden_overflow ] ) ]

@@ -446,6 +446,51 @@ let test_valid_circuits_parse () =
       | Error m -> Alcotest.fail m)
     [ "s1"; "s2:20"; "c6288ish:4"; "wide_and-8"; "antagonist" ]
 
+(* --- simulate builds no oracle --------------------------------------------------- *)
+
+let test_simulated_skips_analysis () =
+  (* `optprob simulate` reads only the netlist, the faults and the
+     configured weights: under the default bdd engine it must neither run
+     the analysis stage nor allocate a BDD node, and it must simulate
+     exactly what a direct fault simulation at X = 0.5 does. *)
+  let seed = 7 and patterns = 512 in
+  let cfg =
+    Config.exn (Config.make ~engine:"bdd" ~seed ~patterns ~circuit:"c432ish" ())
+  in
+  Rt_obs.set_enabled true;
+  Rt_obs.clear ();
+  let t = Pipeline.create cfg in
+  let v = (Pipeline.simulated t).Pipeline.value in
+  let counters = Rt_obs.counters_snapshot () in
+  Rt_obs.set_enabled false;
+  Rt_obs.clear ();
+  let value name = Option.value ~default:0 (List.assoc_opt name counters) in
+  check Alcotest.int "analysis never runs" 0 (value "pipeline.stage.analysis.run");
+  check Alcotest.int "no BDD node allocated" 0 (value "bdd.nodes_allocated");
+  let c = Pipeline.circuit t and faults = Pipeline.fault_list t in
+  let x = Array.make (Array.length (Rt_circuit.Netlist.inputs c)) 0.5 in
+  let direct =
+    Rt_sim.Fault_sim.simulate ~drop:true c faults
+      ~source:(Rt_sim.Pattern.weighted (Rt_util.Rng.create seed) x)
+      ~n_patterns:patterns
+  in
+  check Alcotest.(array (float 0.0)) "weights are X = 0.5" x v.Pipeline.v_weights;
+  check Alcotest.(array int) "first_detect = direct fault simulation"
+    direct.Rt_sim.Fault_sim.first_detect v.Pipeline.first_detect
+
+let test_simulated_engine_independent () =
+  (* The engine is no part of the simulate key: a bdd simulate followed by
+     a cop simulate in the same store is a cache hit. *)
+  let work_dir = fresh_dir () in
+  let cfg engine =
+    Config.exn (Config.make ~engine ~patterns:256 ~work_dir ~circuit:"c432ish" ())
+  in
+  let first = Pipeline.simulated (Pipeline.create (cfg "bdd")) in
+  let second = Pipeline.simulated (Pipeline.create (cfg "cop")) in
+  check Alcotest.bool "bdd simulate computed" false first.Pipeline.from_cache;
+  check Alcotest.bool "cop simulate is a cache hit" true second.Pipeline.from_cache;
+  check Alcotest.string "same artifact" first.Pipeline.digest second.Pipeline.digest
+
 let () =
   Alcotest.run "rt_pipeline"
     [ ( "golden",
@@ -473,6 +518,11 @@ let () =
             test_objective_invalidation;
           Alcotest.test_case "twostage objective flows through the pipeline" `Quick
             test_two_stage_pipeline ] );
+      ( "simulate",
+        [ Alcotest.test_case "simulate runs no analysis and builds no BDD" `Quick
+            test_simulated_skips_analysis;
+          Alcotest.test_case "simulate under another engine is a cache hit" `Quick
+            test_simulated_engine_independent ] );
       ( "validation",
         [ Alcotest.test_case "circuit did-you-mean" `Quick test_did_you_mean_circuit;
           Alcotest.test_case "engine did-you-mean" `Quick test_did_you_mean_engine;
