@@ -327,17 +327,13 @@ let kernel_tests () =
            ignore
              (Rt_sim.Fault_sim.simulate ~jobs:1 ~block_words:8 ~drop:false mult mult_faults
                 ~source:mult_source ~n_patterns:1024)));
-    (* Dispatch cost of one 64-task parallel region: persistent pool vs
-       spawn-per-region.  The body is trivial on purpose — the gap is the
-       Domain.spawn/join price the pool removes from every ppsfp batch. *)
+    (* Dispatch cost of one 64-task parallel region on the persistent
+       pool.  The body is trivial on purpose: what is left is the
+       wake/claim/join price every ppsfp batch pays. *)
     Test.make ~name:"parallel dispatch 64 tasks pool jobs=4"
       (Staged.stage (fun () ->
            Rt_util.Pool.run (Rt_util.Pool.default ()) ~grain:1 ~participants:4 ~n:64
              (fun _ lo hi -> ignore (Sys.opaque_identity (hi - lo)))));
-    Test.make ~name:"parallel dispatch 64 tasks spawn jobs=4"
-      (Staged.stage (fun () ->
-           Rt_util.Parallel.run_chunks ~jobs:4 ~n:64 (fun ~chunk:_ ~lo ~hi ->
-               ignore (Sys.opaque_identity (hi - lo)))));
     Test.make ~name:"lfsr 64-bit word"
       (Staged.stage (fun () -> ignore (Rt_bist.Lfsr.step_word lfsr 64))) ]
 
@@ -369,28 +365,20 @@ let run_perf () =
 
 (* --- pool telemetry measurement --------------------------------------------
 
-   One recorded jobs=4 ppsfp run through the persistent pool, with the
-   hardware clamp lifted so the measurement exercises real worker domains
-   even on a single-core host.  Read after the run: the per-lane scheduler
-   counters, and the mean utilization — busy time (the pool's slice spans,
-   summed over every lane) over lanes x wall time of the run.  The jobs
-   axis of the JSON is ready for multi-core hosts where the clamp never
-   binds. *)
+   One recorded ppsfp run through the persistent pool at up to 4 jobs
+   (clamped to the host's cores, as every region is).  Read after the
+   run: the per-lane scheduler counters, and the mean utilization — busy
+   time (the pool's slice spans, summed over every lane) over lanes x
+   wall time of the run. *)
 
 type pool_measurement = {
   pm_jobs : int;
   pm_util_mean : float;
-  pm_lanes : (int * int * int * int * int) list;
-      (* lane, tasks, steals, stolen_from, parked_us *)
+  pm_lanes : (int * int * int) list;  (* lane, tasks, parked_us *)
 }
 
 let measure_pool () =
-  let jobs = 4 in
-  let saved = Sys.getenv_opt "OPTPROB_JOBS_OVERCOMMIT" in
-  Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" "1";
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" (Option.value ~default:"" saved))
-  @@ fun () ->
+  let jobs = min 4 (Rt_util.Parallel.hardware_jobs ()) in
   Rt_obs.set_enabled true;
   Rt_obs.clear ();
   let ctx =
@@ -413,7 +401,7 @@ let measure_pool () =
   let lanes =
     List.init jobs (fun k ->
         let f field = v (Printf.sprintf "pool.d%d.%s" k field) in
-        (k, f "tasks", f "steals", f "stolen_from", f "parked_us"))
+        (k, f "tasks", f "parked_us"))
   in
   let busy_us =
     List.fold_left
@@ -460,10 +448,8 @@ let write_json ~path ~mode ~experiments ~kernels ~pool ~opt ~total_seconds =
   p "    \"utilization\": {\"mean\": %.4f},\n" pool.pm_util_mean;
   p "    \"domains\": [\n";
   List.iteri
-    (fun i (lane, tasks, steals, stolen_from, parked_us) ->
-      p "      {\"lane\": %d, \"tasks\": %d, \"steals\": %d, \"stolen_from\": %d, \
-         \"parked_us\": %d}%s\n"
-        lane tasks steals stolen_from parked_us
+    (fun i (lane, tasks, parked_us) ->
+      p "      {\"lane\": %d, \"tasks\": %d, \"parked_us\": %d}%s\n" lane tasks parked_us
         (if i = List.length pool.pm_lanes - 1 then "" else ","))
     pool.pm_lanes;
   p "    ]\n";

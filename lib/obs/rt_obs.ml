@@ -102,29 +102,6 @@ let track_names_snapshot () =
   Mutex.unlock lock;
   List.sort compare xs
 
-(* --- sample hooks -----------------------------------------------------------
-
-   Callbacks that refresh derived gauges from live state (pool utilization,
-   queue depths) right before a snapshot is taken.  Lets lower layers like
-   [Rt_util.Pool] — which depend on this module — feed the artifact writer
-   without a reverse dependency. *)
-
-let sample_hooks : (unit -> unit) list ref = ref []
-
-let add_sample_hook f =
-  Mutex.lock lock;
-  sample_hooks := f :: !sample_hooks;
-  Mutex.unlock lock
-
-let run_sample_hooks () =
-  if Atomic.get on then begin
-    Mutex.lock lock;
-    let hs = !sample_hooks in
-    Mutex.unlock lock;
-    (* oldest first, so a later registration's writes win on shared gauges *)
-    List.iter (fun f -> try f () with _ -> ()) (List.rev hs)
-  end
-
 (* --- counters / gauges ----------------------------------------------------- *)
 
 type counter = int Atomic.t
@@ -594,12 +571,18 @@ let trace_json () =
     first := false;
     Buffer.add_string buf s
   in
+  (* Name only the tracks this trace uses: a pool domain that recorded
+     nothing since the last [clear] would otherwise show as an empty row. *)
+  let used = Hashtbl.create 16 in
+  List.iter (fun ev -> Hashtbl.replace used ev.tid ()) evs;
+  List.iter (fun m -> Hashtbl.replace used m.m_tid ()) ms;
   List.iter
     (fun (tid, name) ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           tid (json_escape name)))
+      if Hashtbl.mem used tid then
+        emit
+          (Printf.sprintf
+             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
+             tid (json_escape name)))
     (track_names_snapshot ());
   List.iter
     (fun ev ->
@@ -933,10 +916,9 @@ module Artifact = struct
         Printf.sprintf "  \"wall_s\": %s\n" (json_float m.wall_s);
         "}\n" ]
 
-  (* The files one run writes, rendered from the live sink.  The sample
-     hooks and GC gauges are refreshed first so derived gauges are current. *)
+  (* The files one run writes, rendered from the live sink.  The GC
+     gauges are refreshed first so they are current. *)
   let documents ~manifest ?convergence () =
-    run_sample_hooks ();
     sample_gc ();
     [ ("manifest.json", manifest_json manifest);
       ("metrics.json", metrics_json ());

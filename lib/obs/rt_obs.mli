@@ -51,8 +51,7 @@ val span_begin : unit -> float
 
 val span_end : ?cat:string -> ?args:(string * string) list -> string -> float -> unit
 (** [span_end ~cat name t0] records the span opened by [span_begin].
-    [args] attach as the trace event's ["args"] object (steal origins,
-    queue ids, ...). *)
+    [args] attach as the trace event's ["args"] object (lane ids, ...). *)
 
 val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** Run a thunk inside a span.  When disabled this is just [f ()].  The span
@@ -76,7 +75,7 @@ type mark = {
 val mark : ?fields:(string * string) list -> string -> unit
 val marks : unit -> mark list
 
-(** {1 Track names and sample hooks} *)
+(** {1 Track names} *)
 
 val set_track_name : string -> unit
 (** Name the calling domain's track in the trace viewer (a Perfetto
@@ -86,17 +85,11 @@ val set_track_name : string -> unit
 val track_names_snapshot : unit -> (int * string) list
 (** All named tracks as [(tid, name)], sorted. *)
 
-val add_sample_hook : (unit -> unit) -> unit
-(** Register a callback that refreshes derived gauges from live state
-    (e.g. pool utilization and queue depths).  Hooks run — oldest first,
-    exceptions swallowed — right before {!Artifact.write} takes its
-    snapshot.  Lets low layers feed snapshots without a reverse dependency
-    on their callers. *)
-
 val trace_json : unit -> string
 (** Chrome [trace_event] JSON: an object with a ["traceEvents"] array of
     complete ("ph":"X") span events plus instant ("ph":"i") marks,
-    timestamps in microseconds. *)
+    timestamps in microseconds, and a [thread_name] metadata event for
+    each named track that has a span or mark in it. *)
 
 val pp_summary : Format.formatter -> unit
 (** Human-readable aggregated span tree (count and total wall-clock per
@@ -309,7 +302,7 @@ module Artifact : sig
   val write : dir:string -> manifest:manifest -> ?convergence:Convergence.t -> unit -> unit
   (** Create [dir] (and parents) and write [manifest.json], [metrics.json],
       [trace.json] and — when a recorder is given — [convergence.json], each
-      atomically.  Runs the sample hooks and samples the GC gauges first. *)
+      atomically.  Samples the GC gauges first. *)
 
   (** A run read back: the parsed documents plus the total span wall-clock
       (µs) per span name. *)

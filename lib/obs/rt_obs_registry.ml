@@ -3,21 +3,18 @@
    Layout (all paths relative to the registry root):
 
      records/<id>.json   one immutable record per ingested run
-     index.json          cache of per-record summaries (rebuildable)
      baseline.json       the promoted baseline id, when any
 
    Records are append-only: an ingest writes exactly one new file, via the
    same temp-file + atomic-rename writer as Rt_obs.Artifact, so two
    processes (or two domains) ingesting concurrently can never corrupt each
-   other.  The index is strictly a cache — every reader checks that it
-   covers exactly the record files on disk and rebuilds it from the records
-   when it doesn't, skipping anything unparseable.  A crash between the
-   record write and the index write therefore costs nothing. *)
+   other.  Listing scans the record files and skips anything unparseable;
+   there is no second file to keep in step with them.  Retention
+   ([gc ~keep], which CI runs on every workflow) bounds that scan. *)
 
 module Json = Rt_obs.Json
 
 let schema_record = "optprob-registry/1"
-let schema_index = "optprob-registry-index/1"
 let schema_baseline = "optprob-registry-baseline/1"
 
 let default_dir () =
@@ -27,7 +24,6 @@ let default_dir () =
 
 let records_dir registry = Filename.concat registry "records"
 let record_path registry id = Filename.concat (records_dir registry) (id ^ ".json")
-let index_path registry = Filename.concat registry "index.json"
 let baseline_path registry = Filename.concat registry "baseline.json"
 
 let parse_file path =
@@ -97,37 +93,9 @@ let summary_of_doc ~id doc =
     config = config_slice manifest;
     wall_s = Option.value ~default:0.0 (Option.bind manifest (mnum "wall_s")) }
 
-let summary_json s =
-  let opt = function Some v -> Json.Str v | None -> Json.Null in
-  Json.Obj
-    [ ("id", Json.Str s.id);
-      ("ts", Json.Num s.ts);
-      ("git_rev", Json.Str s.git_rev);
-      ("circuit", opt s.circuit);
-      ("engine", opt s.engine);
-      ("wall_s", Json.Num s.wall_s);
-      ("config", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.config)) ]
-
-let summary_of_json j =
-  match mstr "id" j with
-  | None -> None
-  | Some id ->
-    Some
-      { id;
-        ts = Option.value ~default:0.0 (mnum "ts" j);
-        git_rev = Option.value ~default:"unknown" (mstr "git_rev" j);
-        circuit = mstr "circuit" j;
-        engine = mstr "engine" j;
-        wall_s = Option.value ~default:0.0 (mnum "wall_s" j);
-        config =
-          (match Json.member "config" j with
-           | Some (Json.Obj fields) ->
-             List.filter_map (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.to_string v)) fields
-           | _ -> []) }
-
 let by_age a b = compare (a.ts, a.id) (b.ts, b.id)
 
-(* --- index ------------------------------------------------------------------ *)
+(* --- listing ------------------------------------------------------------------ *)
 
 let scan_ids registry =
   let dir = records_dir registry in
@@ -136,47 +104,21 @@ let scan_ids registry =
   |> List.filter_map (fun n ->
          if Filename.check_suffix n ".json" then Some (Filename.chop_suffix n ".json")
          else None)
-  |> List.sort String.compare
 
-let index_entries registry =
-  match parse_file (index_path registry) with
-  | Some j when mstr "schema" j = Some schema_index -> (
-    match Json.member "entries" j with
-    | Some (Json.Arr l) -> List.filter_map summary_of_json l
-    | _ -> [])
+let num_members = function
+  | Some (Json.Obj fields) ->
+    List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v)) fields
   | _ -> []
 
-let load_summary registry id =
+let load ~registry id =
   match parse_file (record_path registry id) with
   | Some (Json.Obj _ as doc) when mstr "schema" doc = Some schema_record ->
-    Some (summary_of_doc ~id doc)
-  | _ -> None
-
-let write_index registry entries =
-  let doc =
-    Json.Obj
-      [ ("schema", Json.Str schema_index);
-        ("entries", Json.Arr (List.map summary_json (List.sort by_age entries))) ]
-  in
-  try Rt_obs.write_file (index_path registry) (Json.print doc) with Sys_error _ -> ()
-
-(* Bring the index in line with the record files: keep cached summaries whose
-   record still exists, load summaries for records the cache misses, drop the
-   rest.  Corrupt records are skipped, never fatal. *)
-let sync_index registry =
-  let ids = scan_ids registry in
-  let cached = index_entries registry in
-  let entries =
-    List.filter_map
-      (fun id ->
-        match List.find_opt (fun s -> s.id = id) cached with
-        | Some s -> Some s
-        | None -> load_summary registry id)
-      ids
-  in
-  let entries = List.sort by_age entries in
-  write_index registry entries;
-  entries
+    Ok
+      { r_summary = summary_of_doc ~id doc;
+        r_metrics = num_members (Json.member "derived" doc);
+        r_doc = doc }
+  | Some _ -> Error (Printf.sprintf "record %s: wrong shape or schema" id)
+  | None -> Error (Printf.sprintf "record %s: missing or unreadable in %s" id registry)
 
 let matches f s =
   let opt_eq fo v = match fo with None -> true | Some x -> v = Some x in
@@ -189,20 +131,16 @@ let matches f s =
        && String.sub s.git_rev 0 (String.length p) = p)
   && List.for_all (fun (k, v) -> List.assoc_opt k s.config = Some v) f.f_config
 
-let list ?(filter = no_filter) ~registry () =
-  let ids = scan_ids registry in
-  let cached = index_entries registry in
-  let covered =
-    List.length cached = List.length ids
-    && List.for_all (fun s -> List.mem s.id ids) cached
-  in
-  let entries = if covered then List.sort by_age cached else sync_index registry in
-  List.filter (matches filter) entries
+(* Every readable record matching [filter], oldest first: one parse per
+   record file. *)
+let records ~filter ~registry =
+  scan_ids registry
+  |> List.filter_map (fun id -> Result.to_option (load ~registry id))
+  |> List.filter (fun r -> matches filter r.r_summary)
+  |> List.sort (fun a b -> by_age a.r_summary b.r_summary)
 
-let num_members = function
-  | Some (Json.Obj fields) ->
-    List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v)) fields
-  | _ -> []
+let list ?(filter = no_filter) ~registry () =
+  List.map (fun r -> r.r_summary) (records ~filter ~registry)
 
 (* --- ingest ----------------------------------------------------------------- *)
 
@@ -247,20 +185,9 @@ let ingest ?id ~registry ~source (art : Rt_obs.Artifact.t) =
     try
       Rt_obs.mkdir_p (records_dir registry);
       Rt_obs.write_file (record_path registry id) (Json.print doc);
-      ignore (sync_index registry);
       Ok id
     with Sys_error m | Unix.Unix_error (_, m, _) -> Error ("registry write failed: " ^ m)
   end
-
-let load ~registry id =
-  match parse_file (record_path registry id) with
-  | Some (Json.Obj _ as doc) when mstr "schema" doc = Some schema_record ->
-    Ok
-      { r_summary = summary_of_doc ~id doc;
-        r_metrics = num_members (Json.member "derived" doc);
-        r_doc = doc }
-  | Some _ -> Error (Printf.sprintf "record %s: wrong shape or schema" id)
-  | None -> Error (Printf.sprintf "record %s: missing or unreadable in %s" id registry)
 
 let metric r name = List.assoc_opt name r.r_metrics
 let metric_names r = List.map fst r.r_metrics
@@ -317,7 +244,6 @@ let gc ?keep ?max_age_s ~registry () =
       entries
   in
   List.iter (fun s -> try Sys.remove (record_path registry s.id) with Sys_error _ -> ()) doomed;
-  ignore (sync_index registry);
   List.length doomed
 
 (* --- trends ----------------------------------------------------------------- *)
@@ -342,15 +268,12 @@ let percentile sorted q =
   end
 
 let series ?(filter = no_filter) ?(last = 30) ~registry metric_name =
-  let sums = list ~filter ~registry () in
   let points =
     List.filter_map
-      (fun s ->
-        match load ~registry s.id with
-        | Ok r ->
-          Option.map (fun v -> { p_id = s.id; p_ts = s.ts; p_value = v }) (metric r metric_name)
-        | Error _ -> None)
-      sums
+      (fun r ->
+        let s = r.r_summary in
+        Option.map (fun v -> { p_id = s.id; p_ts = s.ts; p_value = v }) (metric r metric_name))
+      (records ~filter ~registry)
   in
   let n = List.length points in
   let points = if n > last then List.filteri (fun i _ -> i >= n - last) points else points in

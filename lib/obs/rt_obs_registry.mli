@@ -3,14 +3,13 @@
 
     A registry is a plain directory (default [_obs/registry], overridable via
     [$OPTPROB_OBS_REGISTRY]) holding one compact JSON record per ingested run
-    under [records/], a rebuildable [index.json] cache of per-run summaries,
-    and an optional [baseline.json] naming the promoted baseline record.
+    under [records/] and an optional [baseline.json] naming the promoted
+    baseline record.
 
     Durability model: every write is atomic (sibling temp file + rename), a
-    record is one immutable file so concurrent writers never contend, and the
-    index is only a cache — readers verify it covers exactly the record files
-    on disk and rebuild it from the records otherwise, skipping corrupt or
-    truncated files.  Losing [index.json] loses nothing. *)
+    record is one immutable file so concurrent writers never contend, and
+    readers scan the record files themselves, skipping corrupt or truncated
+    ones.  There is no index to fall out of step with the records. *)
 
 val schema_record : string
 (** ["optprob-registry/1"], the per-record document schema. *)
@@ -18,8 +17,8 @@ val schema_record : string
 val default_dir : unit -> string
 (** [$OPTPROB_OBS_REGISTRY] when set and non-empty, else [_obs/registry]. *)
 
-(** One row of the index: everything [obs list] prints, without loading the
-    full record. *)
+(** One row of [obs list]: the record's identity and config slice, without
+    its metrics. *)
 type summary = {
   id : string;
   ts : float;  (** ingestion time, seconds since the epoch *)
@@ -50,14 +49,14 @@ val no_filter : filter
 val ingest :
   ?id:string -> registry:string -> source:string -> Rt_obs.Artifact.t -> (string, string) result
 (** Store one run (typically [Rt_obs.Artifact.read dir], with [source] the
-    directory) as a new record and refresh the index.  Returns the record
+    directory) as a new record.  Returns the record
     id — [YYYYMMDDTHHMMSS-xxxxxx] unless [?id] pins it.  [Error] when the id
     already exists or the write fails. *)
 
 val list : ?filter:filter -> registry:string -> unit -> summary list
-(** All records oldest-first, via the index when it is consistent with the
-    record files on disk, rebuilding it otherwise.  Unreadable records are
-    skipped.  An absent registry directory is an empty registry. *)
+(** All records oldest-first, read from the record files on disk.
+    Unreadable records are skipped.  An absent registry directory is an
+    empty registry. *)
 
 val load : registry:string -> string -> (record, string) result
 
@@ -84,8 +83,8 @@ val clear_baseline : registry:string -> unit
 
 val gc : ?keep:int -> ?max_age_s:float -> registry:string -> unit -> int
 (** Delete records beyond the newest [keep] and/or older than [max_age_s]
-    seconds (the promoted baseline always survives); rebuild the index and
-    return the number of records removed. *)
+    seconds (the promoted baseline always survives) and return the number
+    of records removed. *)
 
 (** {1 Trends} *)
 

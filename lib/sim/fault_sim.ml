@@ -25,9 +25,9 @@ type stats = {
    filled before simulating, so when dropping empties the live set
    mid-block up to [W - 1] already-pulled batches go unused.  [jobs > 1]
    shards the per-fault work across pool domains (each with its own
-   workspace) via grain-level work stealing; per-fault detection rows
-   land in a shared table at fault-indexed rows, so scheduling never
-   touches the replay. *)
+   workspace) in grain-sized slices off the pool's shared cursor;
+   per-fault detection rows land in a shared table at fault-indexed
+   rows, so scheduling never touches the replay. *)
 
 (* Workspace reused across faults within a block; one per worker slot
    when the per-fault work is sharded with [jobs > 1]. *)

@@ -5,7 +5,7 @@
     fault is then injected and its effect propagated event-driven
     through its fanout cone only, all lanes at once.  Live faults are
     scheduled in output-cone order and sharded across the persistent
-    domain pool with work stealing; detection bookkeeping replays
+    domain pool in grain-sized slices; detection bookkeeping replays
     serially word by word, so results never depend on [jobs] or
     [block_words].  With fault dropping this is the engine behind the
     paper's Tables 2 and 4 and Fig. 2. *)

@@ -1,12 +1,13 @@
-(** Chunked multicore helpers on top of [Domain] (OCaml 5, no extra deps).
+(** Chunked multicore helpers on the persistent domain {!Pool} (OCaml 5,
+    no extra deps).
 
-    Work over an index range is split into [jobs] contiguous chunks.
-    {!run_chunks}/{!map_chunks} spawn fresh domains per call and join them
-    before returning; {!region}/{!map_region}/{!sweep} instead execute on
-    the persistent work-stealing {!Pool}, so domains are spawned once per
-    process and parked between regions.  With [jobs = 1] the callback runs
-    inline on the caller — bit-identical to a serial loop — so every
-    [?jobs] parameter in the library defaults to the serial behaviour. *)
+    Work over an index range is split into [jobs] contiguous chunks
+    ({!region}, {!map_region}) or claimed in grain-sized slices
+    ({!sweep}); either way it runs on the process-wide {!Pool}, so
+    domains are spawned once per process and parked between regions.
+    With [jobs = 1] the callback runs inline on the caller — bit-identical
+    to a serial loop — so every [?jobs] parameter in the library defaults
+    to the serial behaviour. *)
 
 val max_jobs : int
 
@@ -26,67 +27,49 @@ val chunk_bounds : jobs:int -> n:int -> int -> int * int
 (** [chunk_bounds ~jobs ~n k] is the half-open range [(lo, hi)] of chunk
     [k]: contiguous, ascending, sizes differing by at most one. *)
 
-val run_chunks :
-  ?min_per_chunk:int ->
-  ?label:string ->
-  jobs:int -> n:int -> (chunk:int -> lo:int -> hi:int -> unit) -> unit
-(** Run [f] over [0, n) split into chunks.  [min_per_chunk] (default 1)
-    caps the effective job count so tiny ranges stay serial.  Exceptions
-    from any chunk are re-raised after all domains have been joined.  Each
-    chunk is timed as an [Rt_obs] span named ["<label>.chunk"] on its
-    executing domain (default label ["parallel"]).  The requested job count
-    is honoured exactly (modulo [min_per_chunk]) — use {!region} for the
-    core-count-aware policy. *)
-
-val map_chunks :
-  ?min_per_chunk:int ->
-  ?label:string -> jobs:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a list
-(** As {!run_chunks} but each chunk returns a value; results are listed in
-    chunk order (deterministic merge order regardless of scheduling). *)
-
 val region :
   ?min_per_chunk:int ->
   ?label:string ->
   ?seq_below:int ->
   jobs:int -> n:int -> (chunk:int -> lo:int -> hi:int -> unit) -> unit
-(** The policy'd parallel entry point used by the library's kernels: as
-    {!run_chunks}, but executed on the persistent {!Pool} (domains are
-    spawned at most once per process, not per region), with the effective
-    job count additionally clamped to {!hardware_jobs} (spawning more
-    domains than cores only adds overhead; set
-    [OPTPROB_JOBS_OVERCOMMIT=1] to lift the clamp and oversubscribe,
-    e.g. to exercise the scheduler telemetry on a single-core host),
-    and when [n < seq_below]
-    (default 0) the work runs sequentially on the caller — per-region
-    dispatch costs dwarf small workloads.  Each chunk is still called
-    exactly once with its own [~chunk] index (work stealing moves chunks
-    between domains, never splits or repeats them).  The whole region is
-    wrapped in an [Rt_obs] span named [label]; falls back to sequential
-    while [jobs > 1] increment the ["parallel.seq_fallbacks"] counter.
-    Regions nested inside a pool worker run inline and sequentially.
-    Results never depend on the effective job count. *)
+(** The policy'd parallel entry point used by the library's kernels: run
+    [f] over [0, n) split into {!chunk_bounds} chunks on the persistent
+    {!Pool}.  [min_per_chunk] (default 1) caps the job count so no chunk
+    falls below that many items.  The effective job count is also
+    clamped to {!hardware_jobs} (more domains than cores only adds
+    overhead), and when [n < seq_below] (default 0) the work runs
+    sequentially on the caller — per-region dispatch costs dwarf small
+    workloads.  Each chunk is called exactly once with its own [~chunk]
+    index and timed as an [Rt_obs] span ["<label>.chunk"] on its
+    executing domain (default label ["parallel"]); the whole region is
+    wrapped in a span named [label].  Falls back to sequential while
+    [jobs > 1] increment the ["parallel.seq_fallbacks"] counter.  The
+    first exception raised by a chunk is re-raised on the caller after
+    every participant has left the region.  Regions nested inside a pool
+    worker run inline and sequentially.  Results never depend on the
+    effective job count. *)
 
 val map_region :
   ?min_per_chunk:int ->
   ?label:string ->
   ?seq_below:int -> jobs:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a list
-(** As {!region} but collecting chunk results in chunk order.  Note the
-    chunking itself (hence the partial results) can differ from
-    {!map_chunks} with the same [jobs] — callers must merge in a way that is
-    chunking-independent (e.g. sum partial accumulators). *)
+(** As {!region} but collecting chunk results in chunk order.  The
+    chunking itself (hence the partial results) depends on the effective
+    job count — callers must merge in a way that is chunking-independent
+    (e.g. sum partial accumulators). *)
 
 val sweep :
   ?grain:int ->
   ?label:string ->
   ?seq_below:int ->
   jobs:int -> n:int -> (worker:int -> lo:int -> hi:int -> unit) -> unit
-(** Item-level work stealing over [0, n) on the persistent {!Pool}, for
-    kernels whose per-item cost is highly variable (e.g. per-fault event
-    propagation).  [f ~worker ~lo ~hi] is called once per claimed slice of
-    at most [grain] items (default 16); [worker] is the executing
-    participant's slot in [0, jobs_eff) and may index per-worker scratch
-    state — unlike {!region}, the same [worker] value sees many slices and
-    slice boundaries are scheduling-dependent, so per-item results must be
-    written to item-indexed (not worker-indexed) locations.  Job-count
-    policy ([seq_below], hardware clamp, seq fallback counting) matches
-    {!region}. *)
+(** Item-level dynamic scheduling over [0, n) on the persistent {!Pool},
+    for kernels whose per-item cost is highly variable (e.g. per-fault
+    event propagation).  [f ~worker ~lo ~hi] is called once per slice,
+    the consecutive [grain]-item ranges of [0, n) (default 16); [worker]
+    is the executing participant's slot in [0, jobs_eff) and may index
+    per-worker scratch state — unlike {!region}, the same [worker] value
+    sees many slices and which worker runs which slice depends on
+    scheduling, so per-item results must be written to item-indexed (not
+    worker-indexed) locations.  Job-count policy ([seq_below], hardware
+    clamp, seq fallback counting) matches {!region}. *)

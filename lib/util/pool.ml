@@ -1,61 +1,51 @@
-(* Persistent work-stealing domain pool.
+(* Persistent domain pool with one shared cursor per region.
 
-   The spawn-per-region scheme this replaces paid one [Domain.spawn] +
-   [Domain.join] per worker per parallel region — per ppsfp *batch*, which
-   BENCH_optprob.json showed eating the entire multicore win on the
-   hottest kernel.  Here domains are spawned once (lazily, growing to the
-   largest participant count ever requested) and parked on a condition
-   variable between regions, so a region submit costs one mutex round
-   trip and a broadcast.
+   Domains are spawned once (lazily, growing to the largest participant
+   count ever requested) and parked on a condition variable between
+   regions, so a region submit costs one mutex round trip and a broadcast
+   instead of a [Domain.spawn] + [Domain.join] per worker.
 
-   Scheduling: a region over [0, n) is split into one contiguous sub-queue
-   per participant.  Each sub-queue is consumed [grain] items at a time
-   through an atomic cursor ([Atomic.fetch_and_add]); a participant that
-   exhausts its own queue steals grain-sized slices from the other queues
-   (fault-propagation cost is highly variable, so static chunking loses —
-   and because queues are contiguous index ranges, stolen work stays
-   range-local, which the cone-ordered fault schedule in Fault_sim turns
-   into cache locality).  Completion is detected by counting finished
-   items, so a region terminates correctly even if some pool domain never
-   wakes in time to claim its slot (its queue is simply drained by the
-   others).
+   Scheduling: a region over [0, n) has one atomic cursor.  Every
+   participant, the submitter included, claims the next [grain] items with
+   [Atomic.fetch_and_add] until the cursor passes [n].  Fault-propagation
+   cost is highly variable, so a participant that finishes early simply
+   claims more; and since claims walk the range in order, neighbouring
+   slices run close together in time, which the cone-ordered fault
+   schedule in Fault_sim turns into cache locality.
 
    Lanes: each worker domain is pinned to one participant slot for its
-   whole life — the domain spawned [i]-th always takes slot [i] (its
+   whole life — the domain spawned [i]-th always takes slot [i + 1] (its
    "lane"), and the submitting domain is always lane 0.  A region with
-   [participants = p] is joined by exactly the workers whose lane is
-   below [p].  This keeps the old completion/abort semantics (a late
-   worker's queue is drained by the others) while making the per-domain
-   telemetry stable: [pool.d<k>.*] counters and the [pool.d<k>] trace
-   track always describe the same domain.
+   [participants = p] is joined by exactly the workers whose lane is below
+   [p]; a worker that wakes too late to join simply finds the range used
+   up by the others.  The [worker] id passed to the body is the lane —
+   unique per concurrent participant — so per-worker scratch state is
+   race-free, and [pool.d<k>.*] counters and the [pool.d<k>] trace track
+   always describe the same domain.
 
-   Determinism: which domain executes an item is scheduling-dependent, but
-   the [worker] id passed to the body is the executing participant's slot
-   — unique per concurrent participant — so per-worker scratch state is
-   race-free, and callers that index results by item keep a merge order
-   independent of stealing.
+   Completion: participants join a job under the pool mutex while it is
+   published and count themselves in [active].  The submitter drains the
+   cursor, unpublishes the job, and waits for [active] to reach zero;
+   every claimed slice belongs to a counted participant, so by then every
+   item has run (or been skipped after a failure).
 
-   Exceptions: the first failure is kept, the region is aborted (remaining
-   slices are skipped, not run), and the exception is re-raised on the
-   submitting domain after every participant has left the job.
+   Exceptions: the first failure is kept, the region is aborted (no further
+   slices are claimed), and the exception is re-raised on the submitting
+   domain after every participant has left the job.
 
    Nesting: a body that submits another region would deadlock on the
    submit lock, so submissions from inside a participant run the body
-   inline and sequentially (the same rule the old spawn scheme applied via
-   [jobs = 1]). *)
+   inline and sequentially. *)
 
 type job = {
   n : int;
   grain : int;
   participants : int;
   label : string;  (* names the per-slice trace spans: "<label>.slice" *)
-  next : int Atomic.t array;  (* per-slot queue cursor *)
-  hi : int array;  (* per-slot queue end *)
+  next : int Atomic.t;  (* the shared cursor *)
   body : int -> int -> int -> unit;  (* worker lo hi *)
-  completed : int Atomic.t;  (* items finished or skipped *)
   active : int Atomic.t;  (* participants currently inside the job *)
   failure : exn option Atomic.t;
-  abort : bool Atomic.t;
 }
 
 type t = {
@@ -70,23 +60,15 @@ type t = {
 }
 
 let c_spawns = Rt_obs.counter "parallel.spawns"
-let c_steals = Rt_obs.counter "parallel.steals"
 let c_tasks = Rt_obs.counter "pool.tasks"
 
-(* Per-lane scheduler counters, registered lazily the first time a lane is
-   used.  Lanes are stable domain identities (see the header comment), so
-   [pool.d<k>.tasks] really is "slices executed by domain k" across the
-   whole run. *)
-type lane_counters = {
-  lc_tasks : Rt_obs.counter;
-  lc_steals : Rt_obs.counter;  (* slices this lane took from other queues *)
-  lc_stolen_from : Rt_obs.counter;  (* slices other lanes took from this queue *)
-  lc_parked_us : Rt_obs.counter;  (* cumulative time parked between regions *)
-}
+(* Per-lane counters, registered lazily the first time a lane is used:
+   [pool.d<k>.tasks] is "slices executed by domain k" across the whole
+   run, [pool.d<k>.parked_us] its cumulative idle time between regions. *)
+type lane_counters = { lc_tasks : Rt_obs.counter; lc_parked_us : Rt_obs.counter }
 
 let lane_lock = Mutex.create ()
 let lane_tbl : (int, lane_counters) Hashtbl.t = Hashtbl.create 16
-let depth_tbl : (int, Rt_obs.gauge) Hashtbl.t = Hashtbl.create 16
 
 let lane_counters k =
   Mutex.lock lane_lock;
@@ -95,62 +77,12 @@ let lane_counters k =
     | Some c -> c
     | None ->
       let mk s = Rt_obs.counter (Printf.sprintf "pool.d%d.%s" k s) in
-      let c =
-        { lc_tasks = mk "tasks";
-          lc_steals = mk "steals";
-          lc_stolen_from = mk "stolen_from";
-          lc_parked_us = mk "parked_us" }
-      in
+      let c = { lc_tasks = mk "tasks"; lc_parked_us = mk "parked_us" } in
       Hashtbl.add lane_tbl k c;
       c
   in
   Mutex.unlock lane_lock;
   c
-
-let depth_gauge k =
-  Mutex.lock lane_lock;
-  let g =
-    match Hashtbl.find_opt depth_tbl k with
-    | Some g -> g
-    | None ->
-      let g = Rt_obs.gauge (Printf.sprintf "pool.queue_depth.d%d" k) in
-      Hashtbl.add depth_tbl k g;
-      g
-  in
-  Mutex.unlock lane_lock;
-  g
-
-let g_utilization = Rt_obs.gauge "pool.utilization"
-let g_queue_total = Rt_obs.gauge "pool.queue_depth.total"
-
-(* Refresh the derived pool gauges from live scheduler state; registered as
-   an [Rt_obs] sample hook for the default pool so artifact writes see
-   current values.  Takes [t.m] only long enough to read the published job
-   pointer — the cursors themselves are atomics. *)
-let sample_pool t =
-  Mutex.lock t.m;
-  let job = if t.quit then None else t.current in
-  let workers = t.n_workers in
-  Mutex.unlock t.m;
-  match job with
-  | None ->
-    Rt_obs.gauge_set g_utilization 0.0;
-    Rt_obs.gauge_set g_queue_total 0.0;
-    Mutex.lock lane_lock;
-    let gs = Hashtbl.fold (fun _ g acc -> g :: acc) depth_tbl [] in
-    Mutex.unlock lane_lock;
-    List.iter (fun g -> Rt_obs.gauge_set g 0.0) gs
-  | Some j ->
-    let cap = Stdlib.min (workers + 1) j.participants in
-    Rt_obs.gauge_set g_utilization
-      (Float.of_int (Atomic.get j.active) /. Float.of_int (Stdlib.max 1 cap));
-    let total = ref 0 in
-    for k = 0 to j.participants - 1 do
-      let d = Stdlib.max 0 (j.hi.(k) - Atomic.get j.next.(k)) in
-      total := !total + d;
-      Rt_obs.gauge_set (depth_gauge k) (Float.of_int d)
-    done;
-    Rt_obs.gauge_set g_queue_total (Float.of_int !total)
 
 (* True on any domain currently executing inside a pool region (both pool
    workers and a submitting domain while it participates). *)
@@ -158,57 +90,29 @@ let in_worker_key = Domain.DLS.new_key (fun () -> false)
 
 let in_worker () = Domain.DLS.get in_worker_key
 
-let run_slice job ~worker ~lo ~hi =
-  (if not (Atomic.get job.abort) then
-     try job.body worker lo hi
-     with e ->
-       ignore (Atomic.compare_and_set job.failure None (Some e));
-       Atomic.set job.abort true);
-  ignore (Atomic.fetch_and_add job.completed (hi - lo))
-
-(* Drain queue [q], [grain] items per atomic claim.  Cursors of exhausted
-   queues keep advancing past [hi] on failed claims; that is harmless (the
-   overshoot is bounded by one grain per scan) and keeps the fast path a
-   single fetch_and_add.  [self_c] is the executing lane's counters; when
-   recording is on, every slice becomes a trace span on the executing
-   domain's track carrying its origin queue and whether it was stolen. *)
-let drain job ~worker ~self_c q =
-  let stolen = q <> worker in
-  let victim_c = if stolen then lane_counters q else self_c in
-  let continue = ref true in
-  while !continue do
-    let lo = Atomic.fetch_and_add job.next.(q) job.grain in
-    if lo >= job.hi.(q) then continue := false
-    else begin
-      let hi = min (lo + job.grain) job.hi.(q) in
-      Rt_obs.incr c_tasks;
-      Rt_obs.incr self_c.lc_tasks;
-      if stolen then begin
-        Rt_obs.incr c_steals;
-        Rt_obs.incr self_c.lc_steals;
-        Rt_obs.incr victim_c.lc_stolen_from
-      end;
-      let t0 = Rt_obs.span_begin () in
-      run_slice job ~worker ~lo ~hi;
-      if t0 > Float.neg_infinity then
-        Rt_obs.span_end ~cat:"pool"
-          ~args:
-            [ ("queue", "d" ^ string_of_int q);
-              ("stolen", if stolen then "true" else "false") ]
-          (job.label ^ ".slice") t0
-    end
-  done
-
-let participate job ~slot =
+(* Claim and run slices until the range is used up or the job fails.
+   When recording is on, every slice is a trace span on the executing
+   domain's track. *)
+let participate job ~lane =
   let prev = Domain.DLS.get in_worker_key in
   Domain.DLS.set in_worker_key true;
-  let self_c = lane_counters slot in
+  let lc = lane_counters lane in
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set in_worker_key prev)
     (fun () ->
-      drain job ~worker:slot ~self_c slot;
-      for d = 1 to job.participants - 1 do
-        drain job ~worker:slot ~self_c ((slot + d) mod job.participants)
+      let continue = ref true in
+      while !continue do
+        let lo = Atomic.fetch_and_add job.next job.grain in
+        if lo >= job.n || Option.is_some (Atomic.get job.failure) then continue := false
+        else begin
+          let hi = min (lo + job.grain) job.n in
+          Rt_obs.incr c_tasks;
+          Rt_obs.incr lc.lc_tasks;
+          let t0 = Rt_obs.span_begin () in
+          (try job.body lane lo hi
+           with e -> ignore (Atomic.compare_and_set job.failure None (Some e)));
+          if t0 > Float.neg_infinity then Rt_obs.span_end ~cat:"pool" (job.label ^ ".slice") t0
+        end
       done)
 
 let rec worker_loop t ~lane last_epoch =
@@ -241,7 +145,7 @@ let rec worker_loop t ~lane last_epoch =
     end;
     (match claimed with
      | Some job ->
-       participate job ~slot:lane;
+       participate job ~lane;
        Atomic.decr job.active
      | None -> ());
     worker_loop t ~lane epoch
@@ -259,9 +163,9 @@ let create () =
 
 let size t = t.n_workers
 
-(* Grow to [w] parked worker domains.  Called with [t.submit] held (or
-   before the pool is shared), so growth is single-writer.  The [i]-th
-   domain spawned is lane [i + 1] forever (lane 0 is the submitter). *)
+(* Grow to [w] parked worker domains.  Called with [t.submit] held, so
+   growth is single-writer.  The [i]-th domain spawned is lane [i + 1]
+   forever (lane 0 is the submitter). *)
 let ensure_workers t w =
   if t.quit then invalid_arg "Pool: pool is shut down";
   while t.n_workers < w do
@@ -292,34 +196,21 @@ let run ?(grain = default_grain) ?(label = "pool") t ~participants ~n body =
     Mutex.lock t.submit;
     match
       ensure_workers t (participants - 1);
-      let next = Array.make participants (Atomic.make 0) in
-      let hi = Array.make participants 0 in
-      let base = n / participants and rem = n mod participants in
-      for k = 0 to participants - 1 do
-        let lo = (k * base) + min k rem in
-        next.(k) <- Atomic.make lo;
-        hi.(k) <- lo + base + (if k < rem then 1 else 0)
-      done;
       let job =
-        { n; grain; participants; label; next; hi; body;
-          completed = Atomic.make 0;
+        { n; grain; participants; label; body;
+          next = Atomic.make 0;
           active = Atomic.make 1;  (* the submitter, lane 0 *)
-          failure = Atomic.make None;
-          abort = Atomic.make false }
+          failure = Atomic.make None }
       in
       Mutex.lock t.m;
       t.current <- Some job;
       t.epoch <- t.epoch + 1;
       Condition.broadcast t.cv;
       Mutex.unlock t.m;
-      participate job ~slot:0;
+      participate job ~lane:0;
       Atomic.decr job.active;
-      (* All items either ran or were abort-skipped... *)
-      while Atomic.get job.completed < n do
-        Domain.cpu_relax ()
-      done;
-      (* ...then unpublish so no new worker joins, and wait for joined
-         workers to leave before the next region can reuse the slots. *)
+      (* Unpublish so no new worker joins, then wait for the joined ones
+         to finish their last slices. *)
       Mutex.lock t.m;
       t.current <- None;
       Mutex.unlock t.m;
@@ -330,7 +221,7 @@ let run ?(grain = default_grain) ?(label = "pool") t ~participants ~n body =
     with
     | failure ->
       Mutex.unlock t.submit;
-      (match failure with Some e -> raise e | None -> ())
+      Option.iter raise failure
     | exception e ->
       Mutex.unlock t.submit;
       raise e
@@ -348,11 +239,9 @@ let shutdown t =
   Mutex.unlock t.submit;
   List.iter Domain.join ds
 
-(* The process-wide pool behind [Parallel.region]/[Parallel.sweep].
-   Shut down via [at_exit] so the program never terminates with parked
-   domains still alive.  Its scheduler state feeds the [pool.*] gauges
-   through an [Rt_obs] sample hook, so artifact writes see its
-   utilization and queue depths. *)
+(* The process-wide pool behind [Parallel.region]/[Parallel.sweep], shut
+   down via [at_exit] so the program never terminates with parked domains
+   still alive. *)
 let default_pool = ref None
 let default_mutex = Mutex.create ()
 
@@ -364,7 +253,6 @@ let default () =
     | None ->
       let p = create () in
       default_pool := Some p;
-      Rt_obs.add_sample_hook (fun () -> sample_pool p);
       at_exit (fun () ->
           Mutex.lock default_mutex;
           let q = !default_pool in

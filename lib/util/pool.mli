@@ -1,14 +1,14 @@
-(** Persistent work-stealing domain pool.
+(** Persistent domain pool with one shared cursor per region.
 
     Domains are spawned once (lazily, on the first region that needs
-    them) and parked between parallel regions, replacing the
-    spawn-per-region scheme whose [Domain.spawn]/[Domain.join] cost
-    dominated short regions such as per-batch ppsfp fault sweeps.
+    them) and parked between parallel regions, so a region costs one
+    mutex round trip and a broadcast rather than a
+    [Domain.spawn]/[Domain.join] per worker.
 
-    A region over [0, n) items is split into one contiguous queue per
-    participant; queues are consumed through atomic cursors in
-    grain-sized slices, and participants that run dry steal slices from
-    the other queues.
+    A region over [0, n) items has one atomic cursor: every participant,
+    the submitter included, claims the next [grain] items with
+    [Atomic.fetch_and_add] until the range is used up, so a participant
+    that finishes early simply claims more.
 
     {2 Lanes and telemetry}
 
@@ -16,19 +16,13 @@
     its whole life — the [i]-th domain spawned is lane [i + 1], the
     submitting domain is lane 0 — so per-domain telemetry has a stable
     identity.  Global counters: [parallel.spawns] counts domain spawns
-    (constant per process), [pool.tasks] counts executed slices,
-    [parallel.steals] the stolen ones.  Per lane [k]:
-    [pool.d<k>.tasks], [pool.d<k>.steals] (slices lane [k] took from
-    other queues), [pool.d<k>.stolen_from] (slices other lanes took
-    from queue [k]) and [pool.d<k>.parked_us] (cumulative idle time
-    between regions).  When recording is on, each slice is a trace span
+    (constant per process once the pool is grown), [pool.tasks] counts
+    executed slices.  Per lane [k]: [pool.d<k>.tasks] (slices lane [k]
+    ran) and [pool.d<k>.parked_us] (cumulative idle time between
+    regions).  When recording is on, each slice is a trace span
     ["<label>.slice"] on the executing domain's named track
-    ([pool.d<k>]) carrying its origin queue and steal flag, and park
-    intervals appear as ["pool.parked"] spans with ["pool.unpark"]
-    instants.  Derived gauges [pool.utilization] (active participants /
-    usable lanes) and [pool.queue_depth.d<k>]/[pool.queue_depth.total]
-    are refreshed via an [Rt_obs] sample hook registered for the
-    {!default} pool, which every artifact write triggers. *)
+    ([pool.d<k>]), and park intervals appear as ["pool.parked"] spans
+    with ["pool.unpark"] instants. *)
 
 type t
 
@@ -37,8 +31,7 @@ val create : unit -> t
 
 val default : unit -> t
 (** The process-wide pool used by [Parallel.region]; created on first
-    use and shut down via [at_exit].  Registers the pool-gauge sample
-    hook on creation. *)
+    use and shut down via [at_exit]. *)
 
 val run :
   ?grain:int -> ?label:string -> t -> participants:int -> n:int ->
@@ -49,13 +42,14 @@ val run :
 
     [worker] is the executing participant's lane in
     [0, participants) — unique among concurrent calls, so it can index
-    per-worker scratch state.  Slices are [grain] items (default 16);
-    slice boundaries, and which worker runs which slice, depend on
-    scheduling.  [label] (default ["pool"]) names the per-slice trace
-    spans ["<label>.slice"].  Returns when every item has run.  If any
-    [body] call raises, the remaining slices are skipped and the first
-    exception is re-raised here.  Calls from inside a running [body]
-    (nested regions) execute [body 0 0 n] inline. *)
+    per-worker scratch state.  Slices are the consecutive [grain]-item
+    ranges of [0, n) (default 16; the last may be shorter); which worker
+    runs which slice depends on scheduling.  [label] (default ["pool"])
+    names the per-slice trace spans ["<label>.slice"].  Returns when
+    every item has run.  If any [body] call raises, no further slice is
+    claimed and the first exception is re-raised here.  Calls from
+    inside a running [body] (nested regions) execute [body 0 0 n]
+    inline. *)
 
 val in_worker : unit -> bool
 (** True while the calling domain is executing inside a {!run} body. *)

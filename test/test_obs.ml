@@ -6,6 +6,7 @@
 
 module Obs = Rt_obs
 module Parallel = Rt_util.Parallel
+module Pool = Rt_util.Pool
 module Optimize = Rt_optprob.Optimize
 module Detect = Rt_testability.Detect
 module Oracle = Rt_testability.Oracle
@@ -216,13 +217,20 @@ let test_counter_disabled_drops () =
   Obs.add c 100;
   check Alcotest.int "increments dropped while disabled" 0 (Obs.value c)
 
-(* Increments racing from real domains must all land.  run_chunks honours
-   the requested job count with actual Domain.spawn, so this exercises
-   cross-domain atomics even on a single-core host. *)
+(* Run [body] over [0, n) on a private pool of [jobs] participants.
+   Pool.run honours the participant count exactly (the hardware clamp
+   lives in Parallel's region policy), so this races real domains even on
+   a single-core host. *)
+let on_domains ~jobs ~n body =
+  let p = Pool.create () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p)
+    (fun () -> Pool.run p ~participants:jobs ~n (fun _worker lo hi -> body lo hi))
+
+(* Increments racing from real domains must all land. *)
 let test_counter_concurrent =
   with_obs @@ fun () ->
   let c = Obs.counter "test.race" in
-  Parallel.run_chunks ~jobs:4 ~n:4000 (fun ~chunk:_ ~lo ~hi ->
+  on_domains ~jobs:4 ~n:4000 (fun lo hi ->
       for _ = lo to hi - 1 do
         Obs.incr c
       done);
@@ -333,7 +341,7 @@ let hist_concurrent_qcheck =
       Obs.set_enabled true;
       Obs.clear ();
       let h = Obs.histogram "test.hist.race" in
-      Parallel.run_chunks ~jobs ~n (fun ~chunk:_ ~lo ~hi ->
+      on_domains ~jobs ~n (fun lo hi ->
           for i = lo to hi - 1 do
             Obs.observe h (0.5 +. Float.of_int (i mod 64))
           done);
@@ -662,7 +670,7 @@ let test_track_names_and_args =
   with_obs @@ fun () ->
   Obs.set_track_name "test-main-track";
   let t0 = Obs.span_begin () in
-  Obs.span_end ~cat:"pool" ~args:[ ("queue", "d2"); ("stolen", "true") ] "work.slice" t0;
+  Obs.span_end ~cat:"pool" ~args:[ ("lane", "2"); ("label", "work") ] "work.slice" t0;
   let j = parse_json (Obs.trace_json ()) in
   match member "traceEvents" j with
   | List evs ->
@@ -683,9 +691,9 @@ let test_track_names_and_args =
     in
     (match member "args" slice with
      | Obj kvs ->
-       check Alcotest.bool "steal args round-trip" true
-         (List.assoc_opt "queue" kvs = Some (Str "d2")
-          && List.assoc_opt "stolen" kvs = Some (Str "true"))
+       check Alcotest.bool "span args round-trip" true
+         (List.assoc_opt "lane" kvs = Some (Str "2")
+          && List.assoc_opt "label" kvs = Some (Str "work"))
      | _ -> Alcotest.fail "slice span carries no args object")
   | _ -> Alcotest.fail "traceEvents"
 

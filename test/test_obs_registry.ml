@@ -1,5 +1,5 @@
-(* Tests for Rt_obs_registry: ingest/load parse-back, index durability
-   (concurrent writers, corrupt records, lost index), gc retention
+(* Tests for Rt_obs_registry: ingest/load parse-back, durability
+   (concurrent writers, corrupt records), gc retention
    invariants (qcheck), the step-change detector and sparkline, and the
    baseline workflow: a record diffs exactly like the artifact directory it
    was ingested from. *)
@@ -151,7 +151,7 @@ let test_filters =
 (* --- durability -------------------------------------------------------------- *)
 
 (* Two domains ingesting concurrently into one registry: no lost records,
-   and the index converges to cover exactly the record files. *)
+   and listing covers exactly the record files. *)
 let test_concurrent_ingest =
   with_obs @@ fun () ->
   let registry = scratch_dir "conc" in
@@ -173,11 +173,10 @@ let test_concurrent_ingest =
       check Alcotest.bool ("listed " ^ id) true
         (List.exists (fun s -> s.Reg.id = id) listed))
     (Array.append ids_a ids_b);
-  (* a second list must agree (index now consistent with the dir scan) *)
+  (* a second list must agree *)
   check Alcotest.int "stable relisting" (2 * per_domain) (List.length (Reg.list ~registry ()))
 
-(* Corrupt or truncated record files are skipped, never fatal — and losing
-   index.json loses nothing. *)
+(* Corrupt or truncated record files are skipped, never fatal. *)
 let test_corrupt_records =
   with_obs @@ fun () ->
   let registry = scratch_dir "corrupt" in
@@ -199,11 +198,6 @@ let test_corrupt_records =
   (match Reg.load ~registry "zzzz-garbage" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "garbage record loaded");
-  (* deleting the index forces a rebuild from the records *)
-  Sys.remove (Filename.concat registry "index.json");
-  let relisted = Reg.list ~registry () in
-  check Alcotest.int "index rebuild from records" 1 (List.length relisted);
-  check Alcotest.string "rebuilt id" id (List.hd relisted).Reg.id;
   (* ingest keeps working next to the junk *)
   let id2 = ingest_exn ~registry art in
   check Alcotest.bool "post-corruption ingest" true (id2 <> id);

@@ -244,6 +244,43 @@ let test_optimize_never_worse_than_start () =
     true
     (r.Optimize.n_final <= r.Optimize.n_initial)
 
+(* The paper invariant over circuits x engines x objectives: an
+   unquantized OPTIMIZE never returns a design with a longer test than the
+   conventional one it starts from. *)
+let test_optimize_never_worse_matrix () =
+  let objectives = [ ("single", Objective.single); ("ndetect:2", Objective.n_detect ~k:2) ] in
+  List.iter
+    (fun circuit ->
+      let c =
+        match Generators.by_name circuit with
+        | Some g -> g ()
+        | None -> Alcotest.failf "unknown circuit %s" circuit
+      in
+      let faults = Rt_fault.Collapse.collapsed_universe c in
+      List.iter
+        (fun engine ->
+          let kind =
+            match Rt_pipeline.Config.engine_of_string engine with
+            | Ok k -> k
+            | Error m -> Alcotest.fail m
+          in
+          let oracle = Detect.make kind c faults in
+          List.iter
+            (fun (oname, objective) ->
+              let options =
+                { Optimize.default_options with
+                  Optimize.objective;
+                  max_sweeps = 3;
+                  quantize = Optimize.No_quantization }
+              in
+              let r = Optimize.run ~options oracle in
+              if not (r.Optimize.n_final <= r.Optimize.n_initial) then
+                Alcotest.failf "%s / %s / %s: n_final %.0f > n_initial %.0f" circuit engine
+                  oname r.Optimize.n_final r.Optimize.n_initial)
+            objectives)
+        [ "cop"; "cond:2"; "bdd" ])
+    [ "wide_and-8"; "c432ish"; "s1" ]
+
 let test_optimize_rejects_bad_start () =
   let c = Generators.wide_and 8 in
   let faults = Rt_fault.Collapse.collapsed_universe c in
@@ -410,6 +447,8 @@ let () =
           Alcotest.test_case "respects start" `Quick test_optimize_respects_start;
           Alcotest.test_case "never worse than the conventional test" `Quick
             test_optimize_never_worse_than_start;
+          Alcotest.test_case "never worse, every circuit x engine x objective" `Quick
+            test_optimize_never_worse_matrix;
           Alcotest.test_case "rejects bad start" `Quick test_optimize_rejects_bad_start;
           Alcotest.test_case "incremental cofactors drive PREPARE" `Quick
             test_optimize_uses_incremental_cofactors;

@@ -292,6 +292,25 @@ let test_objective_invalidation () =
   let fourth = Pipeline.run (Pipeline.create (cfg "ndetect:2")) in
   check Alcotest.bool "n-detect run fully cached too" true (Pipeline.all_cached fourth)
 
+let test_objective_run_counter () =
+  (* Each optimize counts itself once under its objective's metric key —
+     the per-objective counter a run's metrics artifact carries. *)
+  let cfg =
+    Config.exn
+      (Config.make ~engine:"cop" ~patterns:128 ~sweeps:1 ~objective:"ndetect:2"
+         ~circuit:"wide_and-8" ())
+  in
+  Rt_obs.set_enabled true;
+  Rt_obs.clear ();
+  Fun.protect ~finally:(fun () ->
+      Rt_obs.set_enabled false;
+      Rt_obs.clear ())
+  @@ fun () ->
+  let runs = Rt_obs.counter "objective.ndetect_2.runs" in
+  let before = Rt_obs.value runs in
+  ignore (Pipeline.optimized (Pipeline.create cfg));
+  check Alcotest.int "objective.ndetect_2.runs + 1" (before + 1) (Rt_obs.value runs)
+
 let test_two_stage_pipeline () =
   (* The twostage objective flows through the pipeline: the optimized stage
      carries the adaptive report and the validated stage simulates the
@@ -516,6 +535,8 @@ let () =
             test_engine_early_cutoff;
           Alcotest.test_case "objective change re-keys, no cross-hits" `Quick
             test_objective_invalidation;
+          Alcotest.test_case "ndetect:2 optimize counts one objective run" `Quick
+            test_objective_run_counter;
           Alcotest.test_case "twostage objective flows through the pipeline" `Quick
             test_two_stage_pipeline ] );
       ( "simulate",

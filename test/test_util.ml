@@ -255,17 +255,18 @@ let test_parallel_chunk_bounds () =
 let test_parallel_covers_once () =
   let n = 1000 in
   let hits = Array.make n 0 in
-  Parallel.run_chunks ~jobs:4 ~n (fun ~chunk:_ ~lo ~hi ->
+  Parallel.region ~jobs:4 ~n (fun ~chunk:_ ~lo ~hi ->
       for i = lo to hi - 1 do
         hits.(i) <- hits.(i) + 1
       done);
   Array.iteri (fun i h -> if h <> 1 then Alcotest.failf "index %d visited %d times" i h) hits
 
 let test_parallel_worker_exception () =
-  (* An exception in a spawned chunk must surface on the caller. *)
+  (* An exception in any chunk must surface on the caller, also from a
+     chunk a pool worker ran. *)
   match
-    Parallel.run_chunks ~jobs:4 ~n:64 (fun ~chunk ~lo:_ ~hi:_ ->
-        if chunk = 3 then failwith "boom")
+    Parallel.region ~jobs:4 ~n:64 (fun ~chunk:_ ~lo:_ ~hi ->
+        if hi = 64 then failwith "boom")
   with
   | () -> Alcotest.fail "expected the worker's exception"
   | exception Failure msg -> check Alcotest.string "message" "boom" msg
@@ -287,13 +288,17 @@ let test_pool_covers_once () =
     (fun () ->
       let n = 10_000 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
+      let misaligned = Atomic.make 0 in
       Pool.run p ~grain:7 ~participants:4 ~n (fun _worker lo hi ->
+          (* slices are the consecutive grain-sized ranges of [0, n) *)
+          if lo mod 7 <> 0 || hi <> min (lo + 7) n then Atomic.incr misaligned;
           for i = lo to hi - 1 do
             Atomic.incr hits.(i)
           done);
       Array.iteri
         (fun i h -> if Atomic.get h <> 1 then Alcotest.failf "index %d visited %d times" i (Atomic.get h))
         hits;
+      check Alcotest.int "every slice is one grain" 0 (Atomic.get misaligned);
       check Alcotest.int "grew exactly participants - 1 domains" 3 (Pool.size p))
 
 let test_pool_reuse_and_growth () =
@@ -361,8 +366,7 @@ let test_pool_create_teardown_no_leak () =
   Pool.run p ~participants:4 ~n:0 (fun _ _ _ -> ())
 
 (* Per-lane scheduler counters must stay coherent with the global ones:
-   every executed slice is attributed to exactly one lane, and every
-   steal has both a thief (lane steals) and a victim (stolen_from). *)
+   every executed slice is attributed to exactly one lane. *)
 let test_pool_lane_counters () =
   Rt_obs.set_enabled true;
   Rt_obs.clear ();
@@ -389,11 +393,7 @@ let test_pool_lane_counters () =
     |> List.fold_left ( + ) 0
   in
   check Alcotest.bool "slices were executed" true (v "pool.tasks" > 0);
-  check Alcotest.int "lane tasks sum to pool.tasks" (v "pool.tasks") (lane_sum "tasks");
-  check Alcotest.int "lane steals sum to parallel.steals" (v "parallel.steals")
-    (lane_sum "steals");
-  check Alcotest.int "every steal has a victim queue" (lane_sum "steals")
-    (lane_sum "stolen_from")
+  check Alcotest.int "lane tasks sum to pool.tasks" (v "pool.tasks") (lane_sum "tasks")
 
 let test_parallel_sweep_covers_once () =
   let n = 5000 in
@@ -405,20 +405,6 @@ let test_parallel_sweep_covers_once () =
   Array.iteri
     (fun i h -> if Atomic.get h <> 1 then Alcotest.failf "index %d visited %d times" i (Atomic.get h))
     hits
-
-let parallel_map_chunks_qcheck =
-  QCheck.Test.make ~name:"map_chunks sums match serial" ~count:50
-    QCheck.(pair (int_range 0 500) (int_range 1 8))
-    (fun (n, jobs) ->
-      let partials =
-        Parallel.map_chunks ~jobs ~n (fun ~lo ~hi ->
-            let s = ref 0 in
-            for i = lo to hi - 1 do
-              s := !s + i
-            done;
-            !s)
-      in
-      List.fold_left ( + ) 0 partials = n * (n - 1) / 2)
 
 let () =
   let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests) in
@@ -453,8 +439,7 @@ let () =
           Alcotest.test_case "covers every index once" `Quick test_parallel_covers_once;
           Alcotest.test_case "worker exception propagates" `Quick test_parallel_worker_exception;
           Alcotest.test_case "resolve_jobs policy" `Quick test_parallel_resolve;
-          Alcotest.test_case "sweep covers every index once" `Quick test_parallel_sweep_covers_once;
-          QCheck_alcotest.to_alcotest ~long:false parallel_map_chunks_qcheck ] );
+          Alcotest.test_case "sweep covers every index once" `Quick test_parallel_sweep_covers_once ] );
       ( "pool",
         [ Alcotest.test_case "covers every index once" `Quick test_pool_covers_once;
           Alcotest.test_case "reuses and grows domains" `Quick test_pool_reuse_and_growth;
