@@ -822,19 +822,22 @@ let tables_cmd =
   let full = Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale mode.") in
   let only =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"IDS"
-           ~doc:"Comma-separated experiment ids (t1..t5, f1, f2, a1, x2, x3).")
+           ~doc:("Comma-separated experiment ids ("
+                 ^ String.concat ", " Rt_repro.Experiments.ids ^ ")."))
   in
   let run full only () =
-    let tables =
+    let ids =
       match only with
-      | None -> Rt_repro.Experiments.all ~full ()
-      | Some ids ->
-        List.filter_map
-          (fun id ->
-            match Rt_repro.Experiments.by_id id with
-            | Some f -> Some (f ~full ())
-            | None -> failwith ("unknown experiment id " ^ id))
-          (String.split_on_char ',' ids)
+      | None -> Rt_repro.Experiments.ids
+      | Some ids -> String.split_on_char ',' ids
+    in
+    let tables =
+      List.map
+        (fun id ->
+          match Rt_repro.Experiments.by_id id with
+          | Some f -> f ~full ()
+          | None -> failwith ("unknown experiment id " ^ id))
+        ids
     in
     List.iter (Rt_repro.Experiments.print_table Format.std_formatter) tables
   in

@@ -1,7 +1,7 @@
 (** Reproduction of every table and figure in the paper's evaluation.
 
     Each function regenerates one artefact and returns it as a printable
-    table; [all] runs the complete set in paper order.  The [full] flag
+    table; {!ids} lists the complete set in paper order.  The [full] flag
     switches between a quick run (same experiments, slightly reduced
     optimizer budgets; minutes) and the full-scale run.  Everything is
     deterministic.
@@ -68,12 +68,9 @@ val x6_jitter_ablation : ?full:bool -> unit -> table
     all-0.5 saddle stalls on equality-comparator circuits; the jittered
     start escapes it. *)
 
-val all : ?full:bool -> unit -> table list
-
 val ids : string list
-(** Canonical experiment ids in paper order — what {!all} runs; each
-    resolves through {!by_id} (the bench harness uses this to time
-    experiments individually). *)
+(** Canonical experiment ids in paper order; each resolves through
+    {!by_id}. *)
 
 val by_id : string -> (?full:bool -> unit -> table) option
 (** Lookup by experiment id ("t1".."t5", "f1", "f2", "a1", "x2".."x6"). *)

@@ -18,10 +18,17 @@ let fresh_dir =
         (Printf.sprintf "optprob-pipe-%d-%d" (Unix.getpid ()) !n)
     in
     (* Stale stores from a previous test process would fake cache hits. *)
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end;
+    let rec nuke d =
+      if Sys.file_exists d then begin
+        Array.iter
+          (fun f ->
+            let p = Filename.concat d f in
+            if Sys.is_directory p then nuke p else Sys.remove p)
+          (Sys.readdir d);
+        Sys.rmdir d
+      end
+    in
+    nuke dir;
     dir
 
 (* --- golden equivalence ------------------------------------------------------
@@ -510,6 +517,122 @@ let test_simulated_engine_independent () =
   check Alcotest.bool "cop simulate is a cache hit" true second.Pipeline.from_cache;
   check Alcotest.string "same artifact" first.Pipeline.digest second.Pipeline.digest
 
+(* --- run artifacts and the run registry ---------------------------------------
+
+   What `--obs-dir`, `--obs-registry` and the `obs` subcommands do, driven
+   through the library on the pipeline's own runs.  Diff thresholds are
+   10x: these check the plumbing, not the machine's speed. *)
+
+module Reg = Rt_obs_registry
+
+let loose =
+  { Rt_obs.Diff.default with
+    Rt_obs.Diff.span_ratio = 10.0;
+    quantile_ratio = 10.0;
+    counter_ratio = 10.0 }
+
+(* One recorded pipeline run on s1 under COP at jobs 1, written to [dir]
+   as an --obs-dir artifact; [stage] picks how far the run goes.  Jobs 1
+   keeps the pool's [pool.d<k>.parked_us] counters, which time idle
+   domains, out of the diff. *)
+let recorded_run stage dir =
+  Rt_obs.set_enabled true;
+  Rt_obs.clear ();
+  Fun.protect ~finally:(fun () ->
+      Rt_obs.set_enabled false;
+      Rt_obs.clear ())
+  @@ fun () ->
+  let cfg = Config.exn (Config.make ~engine:"cop" ~jobs:1 ~sweeps:2 ~patterns:1024 ~circuit:"s1" ()) in
+  let recorder = Rt_obs.Convergence.create () in
+  stage ~recorder (Pipeline.create cfg);
+  Rt_obs.Artifact.write ~dir ~convergence:recorder
+    ~manifest:
+      (Rt_obs.Artifact.make_manifest ~engine:"cop" ~circuit:"s1" ~argv:[| "test" |] ~wall_s:0.0
+         ())
+    ()
+
+(* Identical runs do identical work: a 10x diff finds no counter or
+   convergence regression, and both runs record the same spans and the
+   same number of samples in every histogram.  Durations are not gated:
+   the stages and kernels here take 5 us to 5 ms, and one preemption by a
+   concurrently running test moves such a span total or p99 past 10x. *)
+let check_same_work what (a : Rt_obs.Artifact.t) (b : Rt_obs.Artifact.t) =
+  let timed f = f.Rt_obs.Diff.kind = "span" || f.Rt_obs.Diff.kind = "histogram" in
+  (match
+     List.filter (fun f -> not (timed f))
+       (Rt_obs.Diff.regressions (Rt_obs.Diff.compare ~thresholds:loose a b))
+   with
+   | [] -> ()
+   | rs ->
+     Alcotest.failf "regression at 10x %s: %s" what
+       (String.concat "; "
+          (List.map (fun f -> f.Rt_obs.Diff.name ^ " " ^ f.Rt_obs.Diff.detail) rs)));
+  let spans (x : Rt_obs.Artifact.t) = List.map fst x.Rt_obs.Artifact.span_totals in
+  check Alcotest.(list string) ("span names " ^ what) (spans a) (spans b);
+  let counts (x : Rt_obs.Artifact.t) =
+    List.filter
+      (fun (name, _) -> String.ends_with ~suffix:".count" name)
+      (Rt_obs.Artifact.numbers x)
+  in
+  check Alcotest.bool "histograms recorded" true (counts a <> []);
+  check
+    Alcotest.(list (pair string (float 0.0)))
+    ("histogram sample counts " ^ what) (counts a) (counts b)
+
+let read_artifact dir =
+  match Rt_obs.Artifact.read dir with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "read %s: %s" dir e
+
+let test_obs_artifact_diff () =
+  (* Two identical optimize runs: each artifact is complete, and a 10x
+     diff between them finds the same work. *)
+  let optimize ~recorder t = ignore (Pipeline.optimized ~recorder t) in
+  let a = fresh_dir () and b = fresh_dir () in
+  recorded_run optimize a;
+  recorded_run optimize b;
+  let art = read_artifact a in
+  check Alcotest.bool "manifest present" true (art.Rt_obs.Artifact.manifest <> None);
+  check (Alcotest.option Alcotest.string) "metrics schema" (Some "optprob-metrics/2")
+    (Option.bind (Rt_obs.Json.member "schema" art.Rt_obs.Artifact.metrics) Rt_obs.Json.to_string);
+  let trace =
+    Rt_obs.Json.parse (In_channel.with_open_bin (Filename.concat a "trace.json") In_channel.input_all)
+  in
+  check Alcotest.bool "trace has traceEvents" true
+    (Rt_obs.Json.member "traceEvents" trace <> None);
+  check_same_work "between the two runs" art (read_artifact b)
+
+let test_obs_registry_history () =
+  (* Three identical full runs ingested into a fresh registry: three
+     records, a 3-point pipeline.total_us trend with a sparkline, and the
+     newest run diffs clean at 10x against the promoted first one. *)
+  let registry = fresh_dir () in
+  let run_all ~recorder t = ignore (Pipeline.run ~recorder t) in
+  let ids =
+    List.init 3 (fun _ ->
+        let dir = fresh_dir () in
+        recorded_run run_all dir;
+        match Reg.ingest ~registry ~source:dir (read_artifact dir) with
+        | Ok id -> id
+        | Error e -> Alcotest.failf "ingest: %s" e)
+  in
+  check Alcotest.int "three records" 3 (List.length (Reg.list ~registry ()));
+  let series = Reg.series ~registry "pipeline.total_us" in
+  check Alcotest.int "3-point trend" 3 (List.length series.Reg.s_points);
+  let vals = Array.of_list (List.map (fun p -> p.Reg.p_value) series.Reg.s_points) in
+  check Alcotest.bool "sparkline" true (Reg.sparkline vals <> "");
+  let first = List.hd ids and newest = List.nth ids 2 in
+  (match Reg.promote ~registry first with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "promote: %s" e);
+  let load id =
+    match Reg.load ~registry id with
+    | Ok r -> Reg.artifact r
+    | Error e -> Alcotest.failf "load %s: %s" id e
+  in
+  let base = load (Option.get (Reg.promoted ~registry)) in
+  check_same_work "against the baseline" base (load newest)
+
 let () =
   Alcotest.run "rt_pipeline"
     [ ( "golden",
@@ -526,6 +649,11 @@ let () =
         [ QCheck_alcotest.to_alcotest cache_hit_qcheck;
           Alcotest.test_case "cache-hit counters on resume" `Quick test_cache_hit_counters;
           Alcotest.test_case "corrupt artifact is a miss" `Quick test_corrupt_artifact_is_miss ] );
+      ( "obs",
+        [ Alcotest.test_case "optimize artifacts complete, 10x self-diff clean" `Quick
+            test_obs_artifact_diff;
+          Alcotest.test_case "3 ingested runs: trend, sparkline, baseline diff" `Quick
+            test_obs_registry_history ] );
       ( "invalidation",
         [ Alcotest.test_case "seed bump re-runs exactly validated+report" `Quick
             test_seed_invalidation;

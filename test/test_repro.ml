@@ -57,6 +57,12 @@ let test_by_id () =
     (fun id ->
       if Experiments.by_id id = None then Alcotest.failf "experiment %s missing" id)
     [ "t1"; "t2"; "t3"; "t4"; "t5"; "f1"; "f2"; "a1"; "x2"; "x3" ];
+  (* [ids] is the one experiment list `optprob tables` iterates. *)
+  let ids = Experiments.ids in
+  check Alcotest.int "13 distinct ids" 13 (List.length (List.sort_uniq String.compare ids));
+  List.iter
+    (fun id -> if Experiments.by_id id = None then Alcotest.failf "id %s does not resolve" id)
+    ids;
   check Alcotest.bool "unknown rejected" true (Experiments.by_id "t9" = None)
 
 let test_f1_runs () =

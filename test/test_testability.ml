@@ -392,6 +392,30 @@ let cofactor_matches_two_subsets_qcheck =
         List.for_all (fun e -> check_engine ~jobs:1 e && check_engine ~jobs:4 e) engines
       end)
 
+(* The same contract at one fixed input, the workload `make bench-smoke`
+   times: s1 under COP at a skewed weight vector, over NORMALIZE's
+   hard-fault prefix, every input. *)
+let test_cofactor_pair_s1_skewed () =
+  let module Config = Rt_pipeline.Config in
+  let n_inputs = Array.length (Netlist.inputs (Config.load_circuit (Config.Builtin "s1"))) in
+  let x = Array.init n_inputs (fun i -> 0.3 +. (0.4 *. Float.of_int (i mod 2))) in
+  let ctx =
+    Rt_pipeline.create
+      (Config.exn (Config.make ~engine:"cop" ~weights:(Config.Weights_vector x) ~circuit:"s1" ()))
+  in
+  let o = Rt_pipeline.oracle ctx in
+  let hard = (Rt_pipeline.normalized ctx).Rt_pipeline.value.Rt_pipeline.hard in
+  let plan = Oracle.plan o hard in
+  for i = 0 to n_inputs - 1 do
+    let pf0, pf1 = Oracle.cofactor_pair o plan ~input:i ~x in
+    let x' = Array.copy x in
+    x'.(i) <- 0.0;
+    let ok0 = pf0 = Detect.probs_subset o hard x' in
+    x'.(i) <- 1.0;
+    let ok1 = pf1 = Detect.probs_subset o hard x' in
+    if not (ok0 && ok1) then Alcotest.failf "s1 input %d: cofactor_pair differs" i
+  done
+
 let cofactor_affinity_qcheck =
   (* Eq. 15's premise: an exact p_f(X) is multilinear, so along one
      coordinate it is the affine blend of its two cofactors.  Holds for
@@ -518,7 +542,12 @@ let () =
           q oracle_agreement_qcheck;
           q subset_matches_gather_qcheck;
           q jobs_oracle_agreement_qcheck;
-          q cofactor_matches_two_subsets_qcheck;
+          (let name, speed, random_inputs = q cofactor_matches_two_subsets_qcheck in
+           ( name,
+             speed,
+             fun () ->
+               random_inputs ();
+               test_cofactor_pair_s1_skewed () ));
           q cofactor_affinity_qcheck;
           Alcotest.test_case "keyed plan cache" `Quick test_plan_cache_keyed;
           Alcotest.test_case "stafan close on trees" `Quick test_stafan_close_to_exact_on_tree;
